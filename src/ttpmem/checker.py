@@ -14,10 +14,11 @@ violating paths reconstructed from the BFS tree:
 * P6  from the second round boundary on, one class is extinct;
 * P7  after two full rounds only one class remains, for good.
 
-``single_fault_sweep`` / ``two_fault_sweep`` drive the concrete ring over
-every admissible fault placement and compare it against the abstraction
-(per-slot simulation), the counting predictions (every gate), and the
-two-round convergence claim.
+``cross_check`` is the one concrete sweep: for k faults it drives the ring
+over every admissible fault chain of ``kfault_scenarios`` (a bounded prefix
+of them for k >= 3) and judges the two-round convergence claim (NC), the
+counter-tree predictions at every gate (CA) and, for a single fault, the
+closed-form counting oracle and per-slot simulation by the abstraction.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .abstraction import (
     conserves_population,
 )
 from .kfault import counting_gate_checks, tree_gate_checks
+from .protocol import SoundnessError
 from .ring import (
     FaultSpec,
     Ring,
     Scenario,
-    is_single_clique,
+    convergence,
     partition_classes,
     scenario_text,
 )
@@ -124,16 +126,15 @@ def explore(
                     if (tr.name, post) in seen_here:
                         continue
                     seen_here.add((tr.name, post))
-                    assert conserves_population(s, post), (
-                        f"{tr.name} loses stations: {s} -> {post}"
-                    )
-                    if strengthened:
-                        # per-round budgets keep the d-counters below the
-                        # class populations; the unbudgeted mutant may not
-                        assert post.d0 <= post.c0 and post.d1 <= post.c1 \
-                            and post.df <= post.cf and 1 <= post.cp <= n, (
-                                f"{tr.name} broke a counter bound: {post}"
-                            )
+                    if not conserves_population(s, post):
+                        raise SoundnessError(f"{tr.name} loses stations: {s} -> {post}")
+                    # per-round budgets keep the d-counters below the class
+                    # populations; the unbudgeted mutant may not
+                    if strengthened and not (
+                        post.d0 <= post.c0 and post.d1 <= post.c1
+                        and post.df <= post.cf and 1 <= post.cp <= n
+                    ):
+                        raise SoundnessError(f"{tr.name} broke a counter bound: {post}")
                     j, fresh = g.add(post)
                     g.edges[i].append((tr.name, j))
                     if fresh:
@@ -307,108 +308,25 @@ def check_properties(
 # -- concrete sweeps -----------------------------------------------------------
 
 
-def single_fault_scenarios(n: int) -> Iterable[Scenario]:
-    """Every placement of one asymmetric fault in the first round: the
-    pre-fault regime is rotationally stationary, so this is exhaustive."""
-    for slot in range(n):
-        others = [i for i in range(n) if i != slot % n]
-        for r in range(len(others) + 1):
-            for accept in combinations(others, r):
-                yield Scenario(
-                    n=n, rounds=4,
-                    faults=(FaultSpec(slot, frozenset(accept)),),
-                )
-
-
 @dataclass(frozen=True)
 class SweepResult:
     n: int
     runs: int
     verdicts: Tuple[PropertyVerdict, ...]
 
-    def all_hold(self) -> bool:
-        return all(v.holds for v in self.verdicts)
-
 
 def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
     return tuple(scenario_text(sc).splitlines()) + (extra,)
-
-
-def single_fault_sweep(n: int, gate: str = "strict") -> SweepResult:
-    """Exhaustive one-fault sweep checking convergence (NC), the counting
-    predictions at every gate (CA), and per-slot simulation by the
-    abstraction (SIM)."""
-    runs = 0
-    nc_fail: Optional[Tuple[str, ...]] = None
-    nc_detail = ""
-    round1_splits = 0
-    ca_fail: Optional[Tuple[str, ...]] = None
-    ca_detail = ""
-    sim_fail: Optional[Tuple[str, ...]] = None
-    sim_detail = ""
-    for sc in single_fault_scenarios(n):
-        runs += 1
-        fault_slot = sc.faults[0].slot
-        ring = Ring(sc, gate=gate, record=False)
-        pre = abstraction_map(ring)
-        sim_ok_here = True
-        while ring.slot < sc.total_slots:
-            slot = ring.slot
-            ring.step()
-            if sim_fail is None and sim_ok_here:
-                post = abstraction_map(ring)
-                ev = ring.events[slot]
-                inp = abstract_inputs_for_slot(ring, slot)
-                matches = [
-                    tr for tr in abstract_successors(pre, inp,
-                                                     weak_gate=gate == "weak")
-                    if tr.post == post and tr.emits == ev.emitted
-                ]
-                if not matches:
-                    sim_fail = _scenario_witness(sc, f"slot {slot}")
-                    sim_detail = f"no abstract step {pre} -> {post} (inputs {inp})"
-                    sim_ok_here = False
-                pre = post
-            if ring.slot == fault_slot + n:
-                if len(partition_classes(ring)) > 1:
-                    round1_splits += 1
-            if ring.slot == fault_slot + 2 * n:
-                single = is_single_clique(ring) and len(partition_classes(ring)) == 1
-                if not single and nc_fail is None:
-                    nc_fail = _scenario_witness(
-                        sc, f"classes at round-2 end: {partition_classes(ring)}"
-                    )
-                    nc_detail = "still partitioned two rounds after the fault"
-        if ca_fail is None:
-            bad = [c for c in counting_gate_checks(ring) if not c.ok]
-            bad += [c for c in tree_gate_checks(ring) if not c.ok]
-            if bad:
-                c = bad[0]
-                ca_fail = _scenario_witness(sc, f"slot {c.slot} s{c.sid}")
-                ca_detail = f"predicted {c.predicted}, ring held {c.actual}"
-    if round1_splits == 0 and nc_fail is None:
-        nc_fail = (f"n={n}",)
-        nc_detail = "no scenario was still split after one round; two-round claim untestable"
-    scope = f"k=1 exhaustive ({runs} runs, {round1_splits} round-1 splits)"
-    return SweepResult(
-        n=n, runs=runs,
-        verdicts=(
-            PropertyVerdict("NC", n, scope, nc_fail is None,
-                            nc_fail or (), nc_detail),
-            PropertyVerdict("CA", n, scope, ca_fail is None,
-                            ca_fail or (), ca_detail),
-            PropertyVerdict("SIM", n, scope, sim_fail is None,
-                            sim_fail or (), sim_detail),
-        ),
-    )
 
 
 def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
     """Every admissible placement of k faults, successive ones at most one
     round apart: each later fault must strike a slot whose owner actually
     sends, and its accept set ranges over the receivers still listening
-    there.  A prefix run with the earlier faults decides both — it is
-    identical to the full run up to the new fault's slot."""
+    there.  One prefix run with the earlier faults decides both for every
+    gap — it is identical to the full run up to the new fault's slot.  For
+    k=1 the pre-fault regime is rotationally stationary, so placing the
+    fault in the first round is exhaustive."""
     rounds = k + 3
 
     def extend(faults: Tuple[FaultSpec, ...]) -> Iterable[Scenario]:
@@ -416,10 +334,8 @@ def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
             yield Scenario(n=n, rounds=rounds, faults=faults)
             return
         prev = faults[-1].slot
-        for gap in range(1, n + 1):
-            slot = prev + gap
-            prefix = Ring(Scenario(n=n, rounds=rounds, faults=faults),
-                          record=False)
+        prefix = Ring(Scenario(n=n, rounds=rounds, faults=faults), record=False)
+        for slot in range(prev + 1, prev + n + 1):
             prefix.run_until(slot)
             owner = slot % n
             st = prefix.station(owner)
@@ -439,77 +355,76 @@ def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
                 yield from extend((FaultSpec(slot1, frozenset(accept1)),))
 
 
-def two_fault_scenarios(n: int) -> Iterable[Scenario]:
-    return kfault_scenarios(n, 2)
-
-
-def _chain_sweep(
-    n: int,
-    k: int,
-    scope: str,
-    scenarios: Iterable[Scenario],
-    max_runs: Optional[int],
-    cap_is_error: bool,
-) -> SweepResult:
-    runs = 0
-    degenerate = 0
-    nc_fail: Optional[Tuple[str, ...]] = None
-    nc_detail = ""
-    ca_fail: Optional[Tuple[str, ...]] = None
-    ca_detail = ""
-    for sc in scenarios:
-        runs += 1
-        if max_runs is not None and runs > max_runs:
-            if cap_is_error:
+def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
+    """Run every chain of ``kfault_scenarios(n, k)`` and judge convergence
+    two rounds after the last fault (NC) and the counter tree at every gate
+    (CA); single-fault runs go on to the horizon and are also judged by the
+    closed-form counting oracle (CA) and, slot by slot, by the abstraction
+    (SIM).  Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
+    raises; beyond, the first ``max_runs`` (default 100) chains are run."""
+    exhaustive = k <= 2
+    if not exhaustive:
+        max_runs = max_runs or 100
+    runs = degenerate = round1_splits = 0
+    failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
+    for sc in kfault_scenarios(n, k):
+        if max_runs is not None and runs >= max_runs:
+            if exhaustive:
                 raise ResourceCap(
                     f"{k}-fault sweep for n={n} exceeded the budget of "
                     f"{max_runs} runs"
                 )
-            runs -= 1
             break
+        runs += 1
         last = sc.faults[-1].slot
-        ring = Ring(sc, record=False)
-        ring.run_until(last + 2 * n)
-        if nc_fail is None:
-            classes = partition_classes(ring)
-            if not classes:
-                degenerate += 1  # vacuous clique: distinct from success
-            if not (is_single_clique(ring) and len(classes) <= 1):
-                nc_fail = _scenario_witness(
-                    sc, f"classes at round-2 end: {classes}"
-                )
-                nc_detail = "still partitioned two rounds after the last fault"
-        if ca_fail is None:
-            bad = [c for c in tree_gate_checks(ring) if not c.ok]
+        ring = Ring(sc, gate=gate, record=False)
+        end = sc.total_slots if k == 1 else last + 2 * n
+        pre = abstraction_map(ring) if k == 1 and "SIM" not in failed else None
+        while ring.slot < end:
+            slot = ring.slot
+            ring.step()
+            if pre is not None and "SIM" not in failed:
+                post = abstraction_map(ring)
+                ev = ring.events[slot]
+                inp = abstract_inputs_for_slot(ring, slot)
+                if not any(
+                    tr.post == post and tr.emits == ev.emitted
+                    for tr in abstract_successors(pre, inp,
+                                                  weak_gate=gate == "weak")
+                ):
+                    failed["SIM"] = (_scenario_witness(sc, f"slot {slot}"),
+                                     f"no abstract step {pre} -> {post} (inputs {inp})")
+                pre = post
+            if k == 1 and ring.slot == last + n and len(partition_classes(ring)) > 1:
+                round1_splits += 1
+            if ring.slot == last + 2 * n:
+                judged = convergence(ring)
+                degenerate += judged.degenerate  # vacuous clique, not success
+                if not judged.converged and "NC" not in failed:
+                    failed["NC"] = (
+                        _scenario_witness(sc, f"classes at round-2 end: {judged.classes}"),
+                        "still partitioned two rounds after the last fault",
+                    )
+        if "CA" not in failed:
+            checks = counting_gate_checks(ring) if k == 1 else []
+            bad = [c for c in checks + tree_gate_checks(ring) if not c.ok]
             if bad:
                 c = bad[0]
-                ca_fail = _scenario_witness(sc, f"slot {c.slot} s{c.sid}")
-                ca_detail = f"predicted {c.predicted}, ring held {c.actual}"
-    scope = f"{scope} ({runs} runs)"
+                failed["CA"] = (_scenario_witness(sc, f"slot {c.slot} s{c.sid}"),
+                                f"predicted {c.predicted}, ring held {c.actual}")
+    scope = f"k={k} {'exhaustive' if exhaustive else 'sample'} ({runs} runs"
+    if k == 1:
+        scope += f", {round1_splits} round-1 splits"
+        if round1_splits == 0:
+            failed.setdefault("NC", ((f"n={n}",), "no scenario was still split after "
+                                     "one round; two-round claim untestable"))
+    scope += ")"
     if degenerate:
         scope += f", {degenerate} degenerate"
-    return SweepResult(
-        n=n, runs=runs,
-        verdicts=(
-            PropertyVerdict("NC", n, scope, nc_fail is None, nc_fail or (), nc_detail),
-            PropertyVerdict("CA", n, scope, ca_fail is None, ca_fail or (), ca_detail),
-        ),
-    )
-
-
-def two_fault_sweep(n: int, max_runs: Optional[int] = None) -> SweepResult:
-    """Exhaustive two-fault sweep: convergence within two rounds of the
-    second fault (NC) and tree-oracle agreement at every gate (CA)."""
-    return _chain_sweep(n, 2, "k=2 exhaustive", kfault_scenarios(n, 2),
-                        max_runs, cap_is_error=True)
-
-
-def kfault_sample_sweep(n: int, k: int, sample: int = 100) -> SweepResult:
-    """Bounded k-fault sweep for k >= 3, where the scenario space grows
-    factorially and exhaustion is out of reach: the first ``sample``
-    admissible chains are run and judged like the exhaustive sweeps."""
-    return _chain_sweep(n, k, f"k={k} sample", kfault_scenarios(n, k),
-                        sample, cap_is_error=False)
+    return SweepResult(n=n, runs=runs, verdicts=tuple(
+        PropertyVerdict(prop, n, scope, prop not in failed, *failed.get(prop, ((), "")))
+        for prop in (("NC", "CA", "SIM") if k == 1 else ("NC", "CA"))
+    ))
 
 
 def cross_check(
@@ -518,13 +433,7 @@ def cross_check(
     max_runs: Optional[int] = None,
     gate: str = "strict",
 ) -> List[SweepResult]:
-    if k == 1:
-        return [single_fault_sweep(n, gate=gate) for n in n_values]
-    if k == 2:
-        return [two_fault_sweep(n, max_runs=max_runs) for n in n_values]
-    if k >= 3:
-        return [
-            kfault_sample_sweep(n, k, sample=max_runs or 100)
-            for n in n_values
-        ]
-    raise ValueError(f"need at least one fault, got k={k}")
+    """The concrete fault-chain sweep for each ring size; see ``_sweep``."""
+    if k < 1:
+        raise ValueError(f"need at least one fault, got k={k}")
+    return [_sweep(n, k, max_runs, gate) for n in n_values]

@@ -27,6 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+
+class SoundnessError(RuntimeError):
+    """An internal consistency check failed: the model contradicts itself."""
+
+
 StationId = int
 
 # A membership vector is an int bitmask; bit i (1 << i) is station i's bit.
@@ -244,7 +249,8 @@ def receive_step(st: StationState, frame: Frame, clean: bool) -> ReceiveEvent:
         return ReceiveEvent.REJECT
 
     if st.check is CheckPhase.AWAIT_SECOND:
-        assert st.first_succ is not None
+        if st.first_succ is None:
+            raise SoundnessError(f"s{st.sid} awaits a second successor without a first")
         outcome = check_second_successor(st, frame, clean, st.first_succ)
         if outcome is CheckOutcome.MEMBERSHIP:
             st.member = with_bit(st.member, s, 1)

@@ -31,6 +31,7 @@ from .protocol import (
     Frame,
     Location,
     ReceiveEvent,
+    SoundnessError,
     StationState,
     begin_emission,
     clique_gate,
@@ -144,9 +145,9 @@ def parse_scenario(text: str) -> Scenario:
             args = kv_args(tokens[1:], lineno)
             if "slot" not in args:
                 raise ScenarioError(f"line {lineno}: fault needs slot=")
-            accept_raw = args.get("accept", "")
-            accept = frozenset(int(x) for x in accept_raw.split(",") if x.strip() != "")
             try:
+                accept = frozenset(int(x) for x in args.get("accept", "").split(",")
+                                   if x.strip() != "")
                 faults.append(FaultSpec(slot=int(args["slot"]), accept=accept))
             except ValueError as e:
                 raise ScenarioError(f"line {lineno}: {e}") from None
@@ -157,7 +158,11 @@ def parse_scenario(text: str) -> Scenario:
             args = kv_args(tokens[1:], lineno)
             if "station" not in args or "slot" not in args:
                 raise ScenarioError(f"line {lineno}: integrate needs station= and slot=")
-            integrations.append(IntegrationSpec(station=int(args["station"]), slot=int(args["slot"])))
+            try:
+                spec = IntegrationSpec(station=int(args["station"]), slot=int(args["slot"]))
+            except ValueError as e:
+                raise ScenarioError(f"line {lineno}: {e}") from None
+            integrations.append(spec)
         elif "=" in line:
             key, _, value = line.partition("=")
             key = key.strip()
@@ -428,9 +433,10 @@ def partition_classes(ring: Ring) -> Dict[str, Tuple[int, ...]]:
             by_vector.setdefault(st.member, []).append(st.sid)
     label_groups = sorted(tuple(v) for v in by_label.values())
     vector_groups = sorted(tuple(v) for v in by_vector.values())
-    assert label_groups == vector_groups, (
-        f"class labels {by_label} disagree with vector partition {by_vector}"
-    )
+    if label_groups != vector_groups:
+        raise SoundnessError(
+            f"class labels {by_label} disagree with vector partition {by_vector}"
+        )
     return {k: tuple(v) for k, v in sorted(by_label.items())}
 
 
@@ -449,21 +455,44 @@ def is_single_clique(ring: Ring) -> bool:
 
 
 @dataclass(frozen=True)
-class StabilizationReport:
-    scenario: Scenario
-    classes_after_round1: Dict[str, Tuple[int, ...]]
-    classes_after_round2: Dict[str, Tuple[int, ...]]
+class Convergence:
+    """The class structure of a ring at one instant and its verdict."""
+
+    classes: Dict[str, Tuple[int, ...]]
     single_clique: bool
-    active_after_round2: Tuple[int, ...]
+    active: Tuple[int, ...]
 
     @property
     def degenerate(self) -> bool:
         """Nobody left active: the clique is vacuous, not a success."""
-        return not self.active_after_round2
+        return not self.active
+
+    @property
+    def converged(self) -> bool:
+        """A single clique and at most one class."""
+        return self.single_clique and len(self.classes) <= 1
+
+
+def convergence(ring: Ring) -> Convergence:
+    """Judge the ring as it stands: its classes, whether the active stations
+    form a single clique, and who is still active."""
+    return Convergence(partition_classes(ring), is_single_clique(ring),
+                       tuple(ring.active_ids()))
+
+
+@dataclass(frozen=True)
+class StabilizationReport:
+    scenario: Scenario
+    classes_after_round1: Dict[str, Tuple[int, ...]]
+    after_round2: Convergence
+
+    @property
+    def active_after_round2(self) -> Tuple[int, ...]:
+        return self.after_round2.active
 
     @property
     def converged_in_two_rounds(self) -> bool:
-        return self.single_clique and len(self.classes_after_round2) <= 1
+        return self.after_round2.converged
 
 
 def check_stabilization(scenario: Scenario, gate: str = "strict") -> StabilizationReport:
@@ -479,17 +508,9 @@ def check_stabilization(scenario: Scenario, gate: str = "strict") -> Stabilizati
             f"scenario has {scenario.total_slots}"
         )
     ring = Ring(scenario, gate=gate, record=False)
-    ring.run_until(last + scenario.n)
-    classes_r1 = partition_classes(ring)
-    ring.run_until(last + 2 * scenario.n)
-    classes_r2 = partition_classes(ring)
-    return StabilizationReport(
-        scenario=scenario,
-        classes_after_round1=classes_r1,
-        classes_after_round2=classes_r2,
-        single_clique=is_single_clique(ring),
-        active_after_round2=tuple(ring.active_ids()),
-    )
+    classes_r1 = partition_classes(ring.run_until(last + scenario.n))
+    return StabilizationReport(scenario, classes_r1,
+                               convergence(ring.run_until(last + 2 * scenario.n)))
 
 
 # -- rendering ---------------------------------------------------------------

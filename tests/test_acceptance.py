@@ -1,5 +1,5 @@
 """Acceptance gate: one test per promised behavior, each printing a single
-verdict line (run pytest with -s, or read test_output.txt, to see them all).
+verdict line (run pytest with -s to see them all).
 
 The steady-voucher tie property P3 gets special handling.  It is asserted at
 full strength over n = 3..12 in its own test, marked as an expected failure:
@@ -22,10 +22,8 @@ import pytest
 from ttpmem.checker import (
     ResourceCap,
     check_properties,
+    cross_check,
     kfault_scenarios,
-    single_fault_scenarios,
-    single_fault_sweep,
-    two_fault_sweep,
 )
 from ttpmem.kfault import CounterTree, expected_counter_count
 from ttpmem.protocol import vector_str
@@ -79,7 +77,7 @@ def tables_match(ring: Ring, expected) -> bool:
 
 @pytest.fixture(scope="module")
 def k1_sweeps():
-    return {n: single_fault_sweep(n) for n in range(3, 9)}
+    return {r.n: r for r in cross_check(range(3, 9))}
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +85,7 @@ def k2_sweeps():
     cap = os.environ.get("TTPMEM_K2_CAP")
     max_runs = int(cap) if cap else None
     try:
-        return {n: two_fault_sweep(n, max_runs=max_runs) for n in range(4, 8)}
+        return {r.n: r for r in cross_check(range(4, 8), k=2, max_runs=max_runs)}
     except ResourceCap as e:
         pytest.fail(f"two-fault sweep budget exhausted: {e} "
                     f"(raise or unset TTPMEM_K2_CAP)")
@@ -225,7 +223,7 @@ def test_criterion_8_counter_budget_audit():
         if used != want:
             bad.append(f"k={k} {sc.faults}: {used} counters, budget {want}")
 
-    for sc in single_fault_scenarios(4):
+    for sc in kfault_scenarios(4, 1):
         audit(sc, 1)
     for sc in islice(kfault_scenarios(4, 2), 300):
         audit(sc, 2)
@@ -241,7 +239,7 @@ def test_criterion_9_mutation_sensitivity():
     weak = {v.prop: v for v in check_properties(4, "any", weak_gate=True)}
     weak_broken = [p for p in ("P1", "P7")
                    if not weak[p].holds and weak[p].witness]
-    weak_sweep = single_fault_sweep(4, gate="weak")
+    [weak_sweep] = cross_check([4], gate="weak")
     weak_nc = next(v for v in weak_sweep.verdicts if v.prop == "NC")
     lax = {v.prop: v for v in check_properties(4, "any", strengthened=False)}
     lax_broken = [p for p in ("P1", "P7")

@@ -30,9 +30,8 @@ from ttpmem.checker import (
     check_P3,
     check_P4,
     check_properties,
+    cross_check,
     explore,
-    single_fault_sweep,
-    two_fault_sweep,
     x_values,
 )
 from ttpmem.ring import FaultSpec, Ring, Scenario, is_single_clique, partition_classes
@@ -177,7 +176,7 @@ def test_report_lines_are_single_lines():
 
 
 def test_single_fault_sweep_is_exhaustive_and_clean():
-    result = single_fault_sweep(4)
+    [result] = cross_check([4])
     assert result.runs == 4 * 2 ** 3
     for v in result.verdicts:
         print(v.report_line())
@@ -186,14 +185,15 @@ def test_single_fault_sweep_is_exhaustive_and_clean():
 
 
 def test_weak_gate_ring_fails_the_convergence_sweep():
-    result = single_fault_sweep(4, gate="weak")
-    nc = next(v for v in result.verdicts if v.prop == "NC")
-    assert not nc.holds
-    assert nc.witness, "a concrete counterexample scenario is expected"
+    for k in (1, 2):
+        [result] = cross_check([4], k=k, gate="weak")
+        nc = next(v for v in result.verdicts if v.prop == "NC")
+        assert not nc.holds, f"k={k}"
+        assert nc.witness, "a concrete counterexample scenario is expected"
 
 
 def test_two_fault_sweep_is_clean_on_the_smallest_ring():
-    result = two_fault_sweep(4)
+    [result] = cross_check([4], k=2)
     assert result.runs > 100
     for v in result.verdicts:
         print(v.report_line())
@@ -202,4 +202,4 @@ def test_two_fault_sweep_is_clean_on_the_smallest_ring():
 
 def test_two_fault_sweep_respects_its_budget():
     with pytest.raises(ResourceCap):
-        two_fault_sweep(5, max_runs=10)
+        cross_check([5], k=2, max_runs=10)

@@ -94,6 +94,15 @@ def test_partition_reports_rounds_and_converges(capsys):
     assert "converged within two rounds: yes" in out
 
 
+def test_partition_warns_about_a_fault_gap(tmp_path, capsys):
+    sparse = tmp_path / "sparse.scn"
+    sparse.write_text("n = 4\nrounds = 6\nfault slot=0 accept=2\nfault slot=6 accept=\n")
+    code, out, err = run(capsys, "partition", "--scenario", str(sparse))
+    assert code == 0
+    assert "converged within two rounds: yes" in out
+    assert "warning: gap of 6 slots between faults at 0 and 6" in err
+
+
 def test_partition_flags_a_still_split_horizon(tmp_path, capsys):
     short = tmp_path / "short.scn"
     short.write_text("n = 4\nrounds = 1\nfault slot=0 accept=2\n")
@@ -148,10 +157,11 @@ def test_cross_check_single_fault_is_clean(capsys):
 
 
 def test_cross_check_budget_exits_three(capsys):
-    code, _, err = run(capsys, "cross-check", "--n", "5..5", "--k", "2",
-                       "--max-runs", "10")
-    assert code == 3
-    assert "budget" in err
+    for k in ("1", "2"):
+        code, _, err = run(capsys, "cross-check", "--n", "5..5", "--k", k,
+                           "--max-runs", "10")
+        assert code == 3, f"k={k}"
+        assert "budget" in err
 
 
 def test_cross_check_large_k_samples_with_a_warning(capsys):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from ttpmem.protocol import Location, vector_str
+from ttpmem.protocol import Location, SoundnessError, vector_str
 from ttpmem.ring import (
     FaultSpec,
     IntegrationSpec,
@@ -89,6 +89,13 @@ def test_single_fault_classes():
     assert partition_classes(ring) == {"0": (1,), "1": (0, 2)}
     ring.run_until(8)  # end of round 2: one class left
     assert partition_classes(ring) == {"1": (0, 2)}
+
+
+def test_label_and_vector_partitions_must_agree():
+    ring = Ring(SINGLE_FAULT).run_until(4)
+    ring.labels[0] = "0"  # s0 vouched for the fault; its vector says so
+    with pytest.raises(SoundnessError, match="disagree with vector partition"):
+        partition_classes(ring)
 
 
 def test_cascade_reference_tables():
@@ -180,6 +187,10 @@ def test_scenario_parse_errors_carry_line_numbers():
         parse_scenario("rounds = 2\n")
     with pytest.raises(ScenarioError, match="unknown setting"):
         parse_scenario("n = 4\nrounds = 2\nslots = 9\n")
+    with pytest.raises(ScenarioError, match="line 3"):
+        parse_scenario("n = 4\nrounds = 2\nfault slot=0 accept=a\n")
+    with pytest.raises(ScenarioError, match="line 4"):
+        parse_scenario("n = 4\nrounds = 4\n# rejoin\nintegrate station=x slot=4\n")
 
 
 def test_scenario_static_validation():
