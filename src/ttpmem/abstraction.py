@@ -26,7 +26,7 @@ to show the checked properties actually depend on these details.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .protocol import Location
 from .ring import Ring
@@ -194,6 +194,23 @@ def conserves_population(pre: AbstractState, post: AbstractState) -> bool:
 # -- concrete-to-abstract map -------------------------------------------------
 
 
+def _fault_slot(ring: Ring) -> Optional[int]:
+    """Slot of the scenario's first fault once the ring has run it."""
+    faults = ring.scenario.faults
+    return faults[0].slot if faults and faults[0].slot < ring.slot else None
+
+
+def _sender_exit(ring: Ring, fault_slot: int) -> Optional[int]:
+    """Slot in the fault round at which the faulty sender left on its
+    successors' verdict, if it did."""
+    exit_kind = (fault_slot % ring.n, "second_check")
+    for t in range(fault_slot + 1, min(fault_slot + ring.n, ring.slot)):
+        departed = ring.events[t].departed
+        if departed and exit_kind in departed:
+            return t
+    return None
+
+
 def abstraction_map(ring: Ring) -> AbstractState:
     """Counter view of the ring's current state (before slot ``ring.slot``).
 
@@ -205,34 +222,24 @@ def abstraction_map(ring: Ring) -> AbstractState:
     """
     n = ring.n
     sigma = ring.slot
-    if len(ring.fault_slots) > 1:
+    faults = ring.scenario.faults
+    if len(faults) > 1 and faults[1].slot < sigma:
         raise ValueError("abstraction is defined for at most one fault")
     for st in ring.stations:
         if st.location in (Location.INTEG_LISTEN, Location.INTEG_COUNTING):
             raise ValueError("abstraction is undefined while stations integrate")
 
     tg = sigma % n + 1
-    if not ring.fault_slots:
+    fault_slot = _fault_slot(ring)
+    if fault_slot is None:
         return replace(abstract_init(n), tg=tg)
 
-    fault_slot = ring.fault_slots[0]
-    faulty = fault_slot % n
-    exit_slot: Optional[int] = None
-    for slot, sid, kind in ring.departures:
-        if sid == faulty and kind == "second_check":
-            exit_slot = slot
-
-    defer = exit_slot is not None and sigma <= fault_slot + n
-    c1 = sum(
-        1 for st in ring.stations
-        if st.location.is_active and ring.labels[st.sid].startswith("1")
-    )
-    c0 = sum(
-        1 for st in ring.stations
-        if st.location.is_active and ring.labels[st.sid].startswith("0")
-    )
+    exit_slot = _sender_exit(ring, fault_slot)
+    # Every station got a label bit at the fault; the first says its class.
+    bits = [ring.labels[st.sid][0] for st in ring.stations if st.location.is_active]
+    c1, c0 = bits.count("1"), bits.count("0")
     cf = n - c1 - c0
-    if defer:
+    if exit_slot is not None and sigma <= fault_slot + n:
         c1 += 1
         cf -= 1
 
@@ -252,25 +259,17 @@ def abstraction_map(ring: Ring) -> AbstractState:
     return AbstractState(
         n=n, c_in=0, c0=c0, c1=c1, cf=cf,
         cp=cp, r=r, d0=d0, d1=d1, df=df,
-        tg=tg, sg=faulty + 1, fault_seen=True,
+        tg=tg, sg=fault_slot % n + 1, fault_seen=True,
         g_exit=exit_slot is not None and sigma > fault_slot + n,
     )
 
 
 def abstract_inputs_for_slot(ring: Ring, slot: int) -> AbstractInputs:
     """Inputs the abstract automaton consumes for the ring's given slot."""
-    if not ring.fault_slots or slot < ring.fault_slots[0]:
+    fault_slot = _fault_slot(ring)
+    if fault_slot is None or slot < fault_slot:
         return AbstractInputs()
-    fault_slot = ring.fault_slots[0]
     if slot == fault_slot:
-        ev = ring.events[fault_slot]
-        assert ev.accepted is not None
-        return AbstractInputs(fault=True, x=1 + len(ev.accepted))
-    g = False
-    if slot == fault_slot + ring.n:
-        faulty = fault_slot % ring.n
-        g = any(
-            sid == faulty and kind == "second_check" and dep_slot < slot
-            for dep_slot, sid, kind in ring.departures
-        )
+        return AbstractInputs(fault=True, x=1 + len(ring.events[fault_slot].accepted))
+    g = slot == fault_slot + ring.n and _sender_exit(ring, fault_slot) is not None
     return AbstractInputs(g=g)

@@ -37,7 +37,7 @@ from .abstraction import (
     conserves_population,
 )
 from .kfault import counting_gate_checks, tree_gate_checks
-from .protocol import SoundnessError
+from .protocol import SoundnessError, clique_gate
 from .ring import (
     FaultSpec,
     Ring,
@@ -61,10 +61,9 @@ def _canon(s: AbstractState) -> AbstractState:
 
 
 class StateGraph:
-    def __init__(self, n: int, x: int, flags: Dict[str, bool]):
+    def __init__(self, n: int, x: int):
         self.n = n
         self.x = x
-        self.flags = flags
         self.states: List[AbstractState] = []
         self.index: Dict[AbstractState, int] = {}
         self.edges: List[List[Tuple[str, int]]] = []
@@ -101,7 +100,7 @@ def explore(
 ) -> StateGraph:
     flags = dict(weak_gate=weak_gate, strengthened=strengthened,
                  literal_guard=literal_guard)
-    g = StateGraph(n, x, flags)
+    g = StateGraph(n, x)
     init = _canon(abstract_init(n))
     g.add(init)
     frontier = [0]
@@ -319,14 +318,15 @@ def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
     return tuple(scenario_text(sc).splitlines()) + (extra,)
 
 
-def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
+def kfault_scenarios(n: int, k: int, gate: str = "strict") -> Iterable[Scenario]:
     """Every admissible placement of k faults, successive ones at most one
     round apart: each later fault must strike a slot whose owner actually
     sends, and its accept set ranges over the receivers still listening
-    there.  One prefix run with the earlier faults decides both for every
-    gap — it is identical to the full run up to the new fault's slot.  For
-    k=1 the pre-fault regime is rotationally stationary, so placing the
-    fault in the first round is exhaustive."""
+    there.  One prefix run with the earlier faults, on a ring with the given
+    clique ``gate``, decides both for every gap — it is identical to the
+    full run up to the new fault's slot.  For k=1 the pre-fault regime is
+    rotationally stationary, so placing the fault in the first round is
+    exhaustive."""
     rounds = k + 3
 
     def extend(faults: Tuple[FaultSpec, ...]) -> Iterable[Scenario]:
@@ -334,12 +334,13 @@ def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
             yield Scenario(n=n, rounds=rounds, faults=faults)
             return
         prev = faults[-1].slot
-        prefix = Ring(Scenario(n=n, rounds=rounds, faults=faults), record=False)
+        prefix = Ring(Scenario(n=n, rounds=rounds, faults=faults), gate=gate,
+                      record=False)
         for slot in range(prev + 1, prev + n + 1):
             prefix.run_until(slot)
             owner = slot % n
             st = prefix.station(owner)
-            if not (st.location.is_active and st.acc > st.fail):
+            if not (st.location.is_active and clique_gate(st, weak=prefix.weak_gate)):
                 continue  # silent slot: nothing to corrupt
             receivers = [sid for sid in prefix.active_ids() if sid != owner]
             for r in range(len(receivers) + 1):
@@ -363,11 +364,11 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     (SIM).  Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
     raises; beyond, the first ``max_runs`` (default 100) chains are run."""
     exhaustive = k <= 2
-    if not exhaustive:
-        max_runs = max_runs or 100
+    if not exhaustive and max_runs is None:
+        max_runs = 100
     runs = degenerate = round1_splits = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
-    for sc in kfault_scenarios(n, k):
+    for sc in kfault_scenarios(n, k, gate):
         if max_runs is not None and runs >= max_runs:
             if exhaustive:
                 raise ResourceCap(
@@ -436,4 +437,6 @@ def cross_check(
     """The concrete fault-chain sweep for each ring size; see ``_sweep``."""
     if k < 1:
         raise ValueError(f"need at least one fault, got k={k}")
+    if max_runs is not None and max_runs < 1:
+        raise ValueError(f"the run budget must be at least 1, got {max_runs}")
     return [_sweep(n, k, max_runs, gate) for n in n_values]

@@ -169,8 +169,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_cross_check(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
     k = args.k
+    results = cross_check(ns, k=k, max_runs=args.max_runs)
     if k >= 3:
-        sample = args.max_runs or 100
+        sample = 100 if args.max_runs is None else args.max_runs
         print(
             f"warning: exhaustive coverage stops at k=2; the k={k} chain "
             f"space grows factorially, sampling {sample} chains per ring",
@@ -178,7 +179,7 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
         )
     lines: List[str] = []
     ok = True
-    for result in cross_check(ns, k=k, max_runs=args.max_runs):
+    for result in results:
         for v in result.verdicts:
             lines.append(v.report_line())
             if not v.holds:

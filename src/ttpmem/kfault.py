@@ -8,8 +8,9 @@ emission counter d_w for the round that started at the fault which created
 the level; the leaf level additionally carries two auxiliary counters per
 class — d^A_w (emissions in the current window) and d^F_w (slots where a
 class member's frame went missing from the window: its gate failed, or it
-is gone and its last frame just aged out of the window) — which reset at
-every round boundary of any fault.
+is gone and its last frame just aged out of the window).  They reset at
+every round boundary of any fault: ``observe`` zeroes them once, at the end
+of the slot before the one that opens a fault's next round.
 
 ``predict_gate`` turns those counters into the (acc, fail) pair an active
 station must hold when its own slot comes up, selecting the arithmetic by
@@ -21,7 +22,7 @@ agreement with a concrete run is a genuine cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .ring import Ring, SlotEvent
 
@@ -45,32 +46,13 @@ class CounterTree:
         self.active: set = set(range(n))
         # Virtual pre-run emissions keep window arithmetic uniform.
         self.last_emission: Dict[int, int] = {i: i - n for i in range(n)}
-        self.departed_at: Dict[int, int] = {}
-        self._slot_begun = -1
 
     # -- event intake --------------------------------------------------------
 
-    def begin_slot(self, slot: int) -> None:
-        """Apply start-of-slot bookkeeping (auxiliary resets at each fault's
-        round boundary) before this slot's gate is evaluated."""
-        if self._slot_begun >= slot:
-            return
-        self._slot_begun = slot
-        if self.fault_slots and any(
-            slot == fs + self.n
-            for fs in self.fault_slots
-            if fs + self.n > self.fault_slots[-1]
-        ):
-            for w in self.aux_a:
-                self.aux_a[w] = 0
-                self.aux_f[w] = 0
-
     def observe(self, ev: SlotEvent) -> None:
-        self.begin_slot(ev.slot)
         if ev.owner_loc in ("listen", "counting"):
             raise ValueError("counter tree is undefined while stations integrate")
-        if ev.fault:
-            assert ev.accepted is not None
+        if ev.accepted is not None:
             self._split(ev.slot, ev.owner, ev.accepted)
             self.last_emission[ev.owner] = ev.slot
         elif ev.emitted:
@@ -96,12 +78,16 @@ class CounterTree:
             if sid not in self.active:
                 continue
             self.active.discard(sid)
-            self.departed_at[sid] = ev.slot
             if self.fault_slots:
                 w = self.label[sid]
                 self.levels[-1][w][0] -= 1
                 if kind == "gate" and w in self.aux_f:
                     self.aux_f[w] += 1
+        # The next slot opens a fault's next round: its window starts afresh.
+        if ev.slot + 1 - self.n in self.fault_slots:
+            for w in self.aux_a:
+                self.aux_a[w] = 0
+                self.aux_f[w] = 0
 
     def _split(self, slot: int, emitter: int, accepted: Tuple[int, ...]) -> None:
         self.fault_slots.append(slot)
@@ -132,7 +118,6 @@ class CounterTree:
 
     def predict_gate(self, sid: int, slot: int) -> Tuple[int, int]:
         """(acc, fail) an active station must hold at its gate this slot."""
-        self.begin_slot(slot)
         if sid not in self.active:
             raise ValueError(f"s{sid} is not active at slot {slot}")
         if not self.fault_slots:
@@ -143,11 +128,12 @@ class CounterTree:
 
         if cp[0] < self.n:
             # Window still contains every fault: acc is the working set
-            # minus all foreign-class frames, which are exactly fail.
-            working = len(self.active) + sum(
+            # (active stations, and gone ones whose last frame is still in
+            # the window) minus all foreign-class frames, which are exactly fail.
+            working = sum(
                 1
-                for gone, dslot in self.departed_at.items()
-                if self.last_emission[gone] > slot - self.n
+                for other, last in self.last_emission.items()
+                if other in self.active or last > slot - self.n
             )
             foreign = 0
             for level, counters in enumerate(self.levels, start=1):
@@ -228,7 +214,6 @@ def tree_gate_checks(ring: Ring) -> List[GateCheck]:
     checks: List[GateCheck] = []
     for ev in ring.events:
         if ev.gate is not None and ev.owner_loc in ("in", "agree", "disagree"):
-            tree.begin_slot(ev.slot)
             checks.append(
                 GateCheck(
                     slot=ev.slot,
@@ -275,8 +260,7 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
             checks.append(GateCheck(slot=slot, sid=ev.owner,
                                     predicted=predicted, actual=ev.gate))
         # bookkeeping
-        if ev.fault:
-            assert ev.accepted is not None
+        if ev.accepted is not None:
             vouched = set(ev.accepted) | {ev.owner}
             label = {i: ("1" if i in vouched else "0") for i in range(n)}
             d_by_class["1"] += 1

@@ -109,9 +109,6 @@ class StationState:
     first_succ: Optional[StationId] = None
     # Slot at which integration listening began (None unless integrating).
     listen_from: Optional[int] = None
-    # Slot of this station's most recent transmission (None if never sent
-    # since the run began; the all-active start counts as a virtual send).
-    last_sent: Optional[int] = None
 
 
 def initial_station(sid: StationId, n: int) -> StationState:
@@ -131,7 +128,6 @@ def initial_station(sid: StationId, n: int) -> StationState:
         location=Location.ACTIVE_IN,
         check=CheckPhase.AWAIT_FIRST if sid == n - 1 else CheckPhase.IDLE,
         first_succ=None,
-        last_sent=sid - n,  # virtual slot of the previous round
     )
 
 
@@ -302,7 +298,8 @@ def reintegrate_step(st: StationState, slot: int, weak: bool = False) -> Optiona
     Returns the re-entry frame if one is sent this slot, else None.
     """
     if st.location is Location.INTEG_LISTEN:
-        assert st.listen_from is not None
+        if st.listen_from is None:
+            raise SoundnessError(f"s{st.sid} listens without a start slot")
         if slot - st.listen_from >= st.n:
             st.acc = 0
             st.fail = 0

@@ -9,6 +9,11 @@ every fault splits the current classes — the bookkeeping here tracks those
 classes as bit-string labels ('1' appended for stations that vouched for the
 faulty frame, '0' for everyone else).
 
+``Ring.events`` is the run's history, one :class:`SlotEvent` per slot, and
+every consumer (oracles, abstraction map, renderers) reads it there; with
+``record=True``, ``Ring.records`` adds each slot's post-slot station
+snapshot, which only the trace and table renderers print.
+
 Scenario file format (one directive per line, '#' comments allowed)::
 
     n = 4
@@ -23,11 +28,10 @@ Trace format (one line per slot, fixed field order)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .protocol import (
-    CheckPhase,
     Frame,
     Location,
     ReceiveEvent,
@@ -201,22 +205,16 @@ def scenario_text(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """Post-slot snapshot used for traces and table rendering."""
-
-    slot: int
-    owner: int
-    emitted: bool
-    note: str  # 'sent' | 'silent (gate failed)' | 'silent (failed)' | ...
-    stations: Tuple[Tuple[int, int, int, str], ...]  # (vector, acc, fail, loc)
+StationsSnapshot = Tuple[Tuple[int, int, int, str], ...]  # (vector, acc, fail, loc)
 
 
 @dataclass(frozen=True)
 class SlotEvent:
-    """Compact per-slot observables: everything the counting oracles and the
-    abstraction map are allowed to see (no station-internal counters except
-    the gate operands at the moment the gate runs)."""
+    """One slot of the run's history, and the only per-slot log the ring
+    keeps: everything the counting oracles and the abstraction map are
+    allowed to see (no station-internal counters except the gate operands
+    at the moment the gate runs).  ``accepted`` is set on fault slots only,
+    so ``accepted is not None`` marks a fault."""
 
     slot: int
     owner: int
@@ -224,7 +222,6 @@ class SlotEvent:
     emitted: bool
     gate: Optional[Tuple[int, int]]  # (acc, fail) at gate evaluation
     departed: Tuple[Tuple[int, str], ...]  # (sid, 'gate'|'second_check'|'integ_gate')
-    fault: bool
     accepted: Optional[Tuple[int, ...]]  # receivers that accepted, fault slots only
 
 
@@ -244,10 +241,8 @@ class Ring:
         self.labels: List[str] = [""] * self.n
         self.slot = 0
         self.last_frame: Optional[Frame] = None
-        self.fault_slots: List[int] = []
         self.events: List[SlotEvent] = []
-        self.records: List[SlotRecord] = []
-        self.departures: List[Tuple[int, int, str]] = []  # (slot, sid, kind)
+        self.records: List[StationsSnapshot] = []
         self._faults: Dict[int, FaultSpec] = {}
         for f in scenario.faults:
             self._faults[f.slot] = f
@@ -262,6 +257,11 @@ class Ring:
 
     def station(self, sid: int) -> StationState:
         return self.stations[sid]
+
+    @property
+    def departures(self) -> List[Tuple[int, int, str]]:
+        """(slot, sid, kind) of every departure so far, read off ``events``."""
+        return [(ev.slot, sid, kind) for ev in self.events for sid, kind in ev.departed]
 
     # -- execution ---------------------------------------------------------
 
@@ -294,7 +294,6 @@ class Ring:
             gate_vals = (owner.acc, owner.fail)
             if clique_gate(owner, weak=self.weak_gate):
                 frame = begin_emission(owner)
-                owner.last_sent = t
             else:
                 leave_active(owner)
                 departed.append((owner.sid, "gate"))
@@ -305,7 +304,6 @@ class Ring:
                 gate_vals = (owner.acc, owner.fail)
             frame = reintegrate_step(owner, t, weak=self.weak_gate)
             if frame is not None:
-                owner.last_sent = t
                 owner.location = Location.ACTIVE_IN
                 reentered = True
             elif counting and owner.location is Location.FAILED:
@@ -348,15 +346,11 @@ class Ring:
                             if st.sid in vouched
                             else Location.ACTIVE_DISAGREE
                         )
-                self.fault_slots.append(t)
 
         if reentered:
             # Classes may merge only now: receivers that accepted the
             # re-entry frame have restored the sender's bit.
             self._adopt_label(owner)
-
-        for sid, kind in departed:
-            self.departures.append((t, sid, kind))
 
         self.events.append(
             SlotEvent(
@@ -366,12 +360,13 @@ class Ring:
                 emitted=frame is not None,
                 gate=gate_vals,
                 departed=tuple(departed),
-                fault=fault is not None,
                 accepted=tuple(sorted(accepted)) if fault is not None else None,
             )
         )
         if self.record:
-            self.records.append(self._snapshot(t, owner.sid, frame is not None, owner_loc))
+            self.records.append(tuple(
+                (st.member, st.acc, st.fail, st.location.value) for st in self.stations
+            ))
         self.slot += 1
 
     def _adopt_label(self, st: StationState) -> None:
@@ -379,27 +374,6 @@ class Ring:
             if other.sid != st.sid and other.location.is_active and other.member == st.member:
                 self.labels[st.sid] = self.labels[other.sid]
                 return
-
-    def _snapshot(self, t: int, owner: int, emitted: bool, owner_loc: Location) -> SlotRecord:
-        if emitted:
-            note = "sent"
-        elif owner_loc.is_active:
-            note = "silent (gate failed)"
-        elif owner_loc is Location.INTEG_LISTEN:
-            note = "silent (listening)"
-        elif owner_loc is Location.INTEG_COUNTING:
-            note = "silent (gate failed)" if self.stations[owner].location is Location.FAILED else "silent (counting)"
-        else:
-            note = "silent (failed)"
-        return SlotRecord(
-            slot=t,
-            owner=owner,
-            emitted=emitted,
-            note=note,
-            stations=tuple(
-                (st.member, st.acc, st.fail, st.location.value) for st in self.stations
-            ),
-        )
 
     def run_until(self, slot: int) -> "Ring":
         while self.slot < min(slot, self.scenario.total_slots):
@@ -518,9 +492,9 @@ def check_stabilization(scenario: Scenario, gate: str = "strict") -> Stabilizati
 
 def trace_lines(ring: Ring) -> List[str]:
     lines = []
-    for rec in ring.records:
-        parts = [f"slot={rec.slot}", f"owner=s{rec.owner}", f"sent={int(rec.emitted)}"]
-        for sid, (member, acc, fail, loc) in enumerate(rec.stations):
+    for ev, stations in zip(ring.events, ring.records):
+        parts = [f"slot={ev.slot}", f"owner=s{ev.owner}", f"sent={int(ev.emitted)}"]
+        for sid, (member, acc, fail, loc) in enumerate(stations):
             parts.append(f"s{sid}[m={vector_str(member, ring.n)} a={acc} f={fail} loc={loc}]")
         lines.append(" ".join(parts))
     return lines
@@ -536,15 +510,22 @@ def initial_table(n: int) -> str:
     return "\n".join(rows)
 
 
-def render_table(rec: SlotRecord, n: int) -> str:
-    rows = [f"after slot {rec.slot} - s{rec.owner} {rec.note}"]
+# A silent owner's note by its location before the slot; an active or
+# counting owner that stays silent has failed its gate.
+_SILENT_NOTES = {"listen": "silent (listening)", "failed": "silent (failed)"}
+
+
+def render_table(ev: SlotEvent, stations: StationsSnapshot, n: int) -> str:
+    note = "sent" if ev.emitted else _SILENT_NOTES.get(ev.owner_loc, "silent (gate failed)")
+    rows = [f"after slot {ev.slot} - s{ev.owner} {note}"]
     rows.append("  station  vector  acc  fail  location")
-    for sid, (member, acc, fail, loc) in enumerate(rec.stations):
+    for sid, (member, acc, fail, loc) in enumerate(stations):
         rows.append(f"  s{sid:<6}  {vector_str(member, n):<6}  {acc:<3}  {fail:<4}  {loc}")
     return "\n".join(rows)
 
 
 def render_run_tables(ring: Ring) -> str:
     blocks = [initial_table(ring.n)]
-    blocks.extend(render_table(rec, ring.n) for rec in ring.records)
+    blocks.extend(render_table(ev, stations, ring.n)
+                  for ev, stations in zip(ring.events, ring.records))
     return "\n\n".join(blocks) + "\n"

@@ -61,7 +61,7 @@ def verdict(num, ok: bool, text: str) -> None:
 
 def table_rows(ring: Ring, slot: int):
     rec = ring.records[slot]
-    return [(vector_str(m, ring.n), a, f) for (m, a, f, _loc) in rec.stations]
+    return [(vector_str(m, ring.n), a, f) for (m, a, f, _loc) in rec]
 
 
 def tables_match(ring: Ring, expected) -> bool:

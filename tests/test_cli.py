@@ -176,6 +176,13 @@ def test_cross_check_zero_faults_exits_two(capsys):
     code, _, err = run(capsys, "cross-check", "--n", "3..3", "--k", "0")
     assert code == 2
     assert "at least one fault" in err
+    # A budget below one run would judge nothing, or sample a default.
+    for k in ("1", "2", "3"):
+        for budget in ("0", "-1"):
+            code, out, err = run(capsys, "cross-check", "--n", "4", "--k", k,
+                                 "--max-runs", budget)
+            assert code == 2, f"k={k} --max-runs {budget}"
+            assert out == "" and "at least 1" in err and "sampling" not in err
 
 
 def test_kfault_oracle_reports_gates_and_the_counter_budget(capsys):

@@ -82,7 +82,7 @@ def test_counting_oracle_agrees_with_tree_on_one_fault():
 def fault_event(slot: int, owner: int, accepted: tuple) -> SlotEvent:
     return SlotEvent(
         slot=slot, owner=owner, owner_loc="agree", emitted=True,
-        gate=None, departed=(), fault=True, accepted=accepted,
+        gate=None, departed=(), accepted=accepted,
     )
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
 from ttpmem.protocol import (
     CheckOutcome,
     CheckPhase,
     Frame,
     Location,
     ReceiveEvent,
+    SoundnessError,
     StationState,
     begin_emission,
     check_first_successor,
@@ -18,6 +21,7 @@ from ttpmem.protocol import (
     get_bit,
     initial_station,
     receive_step,
+    reintegrate_step,
     vector_str,
     with_bit,
 )
@@ -163,3 +167,10 @@ def test_plain_receive_restores_written_off_sender():
     ev = receive_step(me, Frame(2, vec("1111")), clean=True)
     assert ev is ReceiveEvent.ACCEPT
     assert vector_str(me.member, 4) == "1111"
+
+
+def test_listening_station_needs_its_start_slot():
+    me = station(3, 4, "1110", 0, 0, location=Location.INTEG_LISTEN)
+    me.listen_from = None
+    with pytest.raises(SoundnessError, match="listens without a start slot"):
+        reintegrate_step(me, 7)

@@ -22,6 +22,7 @@ from ttpmem.ring import (
     is_single_clique,
     parse_scenario,
     partition_classes,
+    render_run_tables,
     run_scenario,
     scenario_text,
     trace_lines,
@@ -57,7 +58,7 @@ CASCADE_TABLES = {
 
 def rows(ring: Ring, slot: int):
     rec = ring.records[slot]
-    return [(vector_str(m, ring.n), a, f) for (m, a, f, _loc) in rec.stations]
+    return [(vector_str(m, ring.n), a, f) for (m, a, f, _loc) in rec]
 
 
 def test_single_fault_reference_tables():
@@ -150,8 +151,8 @@ def test_rotational_stationarity():
     shifted = Scenario(n=5, rounds=5, faults=(FaultSpec(7, frozenset({3, 4})),))
     r1 = run_scenario(base)
     r2 = run_scenario(shifted)
-    tail1 = [rec.stations for rec in r1.records[2:]]
-    tail2 = [rec.stations for rec in r2.records[7:]]
+    tail1 = r1.records[2:]
+    tail2 = r2.records[7:]
     assert tail1 == tail2[: len(tail1)]
 
 
@@ -267,6 +268,17 @@ def test_reintegration_gate_failure_returns_to_failed():
     assert st3.location is Location.FAILED
     assert (st3.member, st3.acc, st3.fail) == (0, 0, 0)
     assert (19, 3, "integ_gate") in ring.departures
+    # The table notes follow s3 out, through listening and counting, and out.
+    headers = [line for line in render_run_tables(ring).splitlines()
+               if line.startswith("after slot") and " s3 " in line]
+    assert headers == [
+        "after slot 3 - s3 silent (gate failed)",
+        "after slot 7 - s3 silent (failed)",
+        "after slot 11 - s3 silent (listening)",
+        "after slot 15 - s3 silent (listening)",
+        "after slot 19 - s3 silent (gate failed)",
+        "after slot 23 - s3 silent (failed)",
+    ]
 
 
 def test_integration_requires_failed_station():
