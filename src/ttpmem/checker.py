@@ -19,13 +19,17 @@ over every admissible fault chain of ``kfault_scenarios`` (a bounded prefix
 of them for k >= 3) and judges the two-round convergence claim (NC), the
 counter-tree predictions at every gate (CA) and, for a single fault, the
 closed-form counting oracle and per-slot simulation by the abstraction.
+The chains come from one depth-first walk: a prefix that several chains
+share runs once, and at every fault point the ring and a counter tree fed
+event by event are forked, so the tree's predictions and the simulation
+check are made once per shared slot and no run is replayed from slot 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .abstraction import (
     AbstractInputs,
@@ -36,7 +40,8 @@ from .abstraction import (
     abstraction_map,
     conserves_population,
 )
-from .kfault import counting_gate_checks, tree_gate_checks
+from .kfault import CounterTree, counting_gate_checks
+from .kfault import tree_gate_checks  # noqa: F401  (bench/spans.py patches it here)
 from .protocol import SoundnessError, clique_gate
 from .ring import (
     FaultSpec,
@@ -318,42 +323,91 @@ def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
     return tuple(scenario_text(sc).splitlines()) + (extra,)
 
 
-def kfault_scenarios(n: int, k: int, gate: str = "strict") -> Iterable[Scenario]:
-    """Every admissible placement of k faults, successive ones at most one
-    round apart: each later fault must strike a slot whose owner actually
-    sends, and its accept set ranges over the receivers still listening
-    there.  One prefix run with the earlier faults, on a ring with the given
-    clique ``gate``, decides both for every gap — it is identical to the
-    full run up to the new fault's slot.  For k=1 the pre-fault regime is
-    rotationally stationary, so placing the fault in the first round is
-    exhaustive."""
-    rounds = k + 3
+@dataclass(slots=True)
+class _Path:
+    """One ring of the depth-first walk over fault chains, with what watches
+    it slot by slot: the counter tree, fed each event as it happens and
+    compared at each gate (CA); for a single fault the abstraction's state
+    before the next slot (SIM); and the first mismatch of each check met on
+    this path, as (witness line, detail).  A fork copies all of it, so a
+    slot that several chains share is run and judged once."""
 
-    def extend(faults: Tuple[FaultSpec, ...]) -> Iterable[Scenario]:
-        if len(faults) == k:
-            yield Scenario(n=n, rounds=rounds, faults=faults)
-            return
-        prev = faults[-1].slot
-        prefix = Ring(Scenario(n=n, rounds=rounds, faults=faults), gate=gate,
-                      record=False)
-        for slot in range(prev + 1, prev + n + 1):
-            prefix.run_until(slot)
-            owner = slot % n
-            st = prefix.station(owner)
-            if not (st.location.is_active and clique_gate(st, weak=prefix.weak_gate)):
+    ring: Ring
+    tree: Optional[CounterTree] = None
+    pre: Optional[AbstractState] = None
+    bad: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+
+    def fork(self, fault: FaultSpec) -> "_Path":
+        return _Path(self.ring.fork(fault), self.tree and self.tree.fork(),
+                     self.pre, dict(self.bad))
+
+    def advance(self) -> None:
+        ring = self.ring
+        ring.step()
+        ev = ring.events[-1]
+        if self.tree is not None:
+            c = self.tree.feed(ev)
+            if c is not None and not c.ok and "CA" not in self.bad:
+                self.bad["CA"] = (f"slot {c.slot} s{c.sid}",
+                                  f"predicted {c.predicted}, ring held {c.actual}")
+        if self.pre is not None:
+            post = abstraction_map(ring)
+            inp = abstract_inputs_for_slot(ring, ev.slot)
+            if not any(
+                tr.post == post and tr.emits == ev.emitted
+                for tr in abstract_successors(self.pre, inp, weak_gate=ring.weak_gate)
+            ):
+                self.bad["SIM"] = (f"slot {ev.slot}",
+                                   f"no abstract step {self.pre} -> {post} (inputs {inp})")
+                post = None  # the path's first SIM failure is all it reports
+            self.pre = post
+
+
+def _chains(root: _Path, k: int) -> Iterator[_Path]:
+    """Every admissible chain of k faults, depth first from the fault-free
+    ``root`` at slot 0: the first fault strikes a slot of the first round,
+    each later one a slot at most one round after its predecessor whose
+    owner actually sends, and each accept set ranges over the receivers
+    still listening there.  A path is advanced to each candidate slot and
+    forked there with every fault it admits, so each slot before a fault
+    runs once however many chains share it.  Yields each chain's path,
+    forked at its last fault (that slot not yet run), in enumeration order.
+    For k=1 the pre-fault regime is rotationally stationary, so placing the
+    fault in the first round is exhaustive."""
+    n = root.ring.n
+
+    def extend(path: _Path) -> Iterator[_Path]:
+        faults = path.ring.scenario.faults
+        first = faults[-1].slot + 1 if faults else 0
+        for slot in range(first, first + n):
+            while path.ring.slot < slot:
+                path.advance()
+            ring = path.ring
+            owner = ring.stations[slot % n]
+            if not (owner.location.is_active and clique_gate(owner, weak=ring.weak_gate)):
                 continue  # silent slot: nothing to corrupt
-            receivers = [sid for sid in prefix.active_ids() if sid != owner]
+            receivers = [sid for sid in ring.active_ids() if sid != owner.sid]
             for r in range(len(receivers) + 1):
                 for accept in combinations(receivers, r):
-                    yield from extend(
-                        faults + (FaultSpec(slot, frozenset(accept)),)
-                    )
+                    child = path.fork(FaultSpec(slot, frozenset(accept)))
+                    if len(faults) + 1 == k:
+                        yield child
+                    else:
+                        yield from extend(child)
 
-    for slot1 in range(n):
-        others = [i for i in range(n) if i != slot1]
-        for r1 in range(len(others) + 1):
-            for accept1 in combinations(others, r1):
-                yield from extend((FaultSpec(slot1, frozenset(accept1)),))
+    return extend(root)
+
+
+def _root(n: int, k: int, gate: str) -> Ring:
+    return Ring(Scenario(n=n, rounds=k + 3), gate=gate, record=False)
+
+
+def kfault_scenarios(n: int, k: int, gate: str = "strict") -> Iterable[Scenario]:
+    """Every admissible placement of k faults on a ring with the given
+    clique ``gate``, in the sweep's order: the scenarios of ``_chains``,
+    whose walk runs each prefix once and forks the ring at every fault."""
+    for path in _chains(_Path(_root(n, k, gate)), k):
+        yield path.ring.scenario
 
 
 def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
@@ -361,14 +415,18 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     two rounds after the last fault (NC) and the counter tree at every gate
     (CA); single-fault runs go on to the horizon and are also judged by the
     closed-form counting oracle (CA) and, slot by slot, by the abstraction
-    (SIM).  Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
+    (SIM).  A mismatch on a prefix that chains share (see ``_chains``) is
+    reported against the first chain, in enumeration order, through it.
+    Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
     raises; beyond, the first ``max_runs`` (default 100) chains are run."""
     exhaustive = k <= 2
     if not exhaustive and max_runs is None:
         max_runs = 100
     runs = degenerate = round1_splits = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
-    for sc in kfault_scenarios(n, k, gate):
+    ring = _root(n, k, gate)
+    root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
+    for path in _chains(root, k):
         if max_runs is not None and runs >= max_runs:
             if exhaustive:
                 raise ResourceCap(
@@ -377,25 +435,17 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
                 )
             break
         runs += 1
+        # Checks that have already failed need not watch this run's tail.
+        if "CA" in failed:
+            path.tree = None
+        if "SIM" in failed:
+            path.pre = None
+        ring = path.ring
+        sc = ring.scenario
         last = sc.faults[-1].slot
-        ring = Ring(sc, gate=gate, record=False)
         end = sc.total_slots if k == 1 else last + 2 * n
-        pre = abstraction_map(ring) if k == 1 and "SIM" not in failed else None
         while ring.slot < end:
-            slot = ring.slot
-            ring.step()
-            if pre is not None and "SIM" not in failed:
-                post = abstraction_map(ring)
-                ev = ring.events[slot]
-                inp = abstract_inputs_for_slot(ring, slot)
-                if not any(
-                    tr.post == post and tr.emits == ev.emitted
-                    for tr in abstract_successors(pre, inp,
-                                                  weak_gate=gate == "weak")
-                ):
-                    failed["SIM"] = (_scenario_witness(sc, f"slot {slot}"),
-                                     f"no abstract step {pre} -> {post} (inputs {inp})")
-                pre = post
+            path.advance()
             if k == 1 and ring.slot == last + n and len(partition_classes(ring)) > 1:
                 round1_splits += 1
             if ring.slot == last + 2 * n:
@@ -406,13 +456,15 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
                         _scenario_witness(sc, f"classes at round-2 end: {judged.classes}"),
                         "still partitioned two rounds after the last fault",
                     )
-        if "CA" not in failed:
-            checks = counting_gate_checks(ring) if k == 1 else []
-            bad = [c for c in checks + tree_gate_checks(ring) if not c.ok]
-            if bad:
-                c = bad[0]
-                failed["CA"] = (_scenario_witness(sc, f"slot {c.slot} s{c.sid}"),
-                                f"predicted {c.predicted}, ring held {c.actual}")
+        if "CA" not in failed and k == 1:
+            c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
+            if c is not None:  # the closed form's mismatch goes ahead of the tree's
+                path.bad["CA"] = (f"slot {c.slot} s{c.sid}",
+                                  f"predicted {c.predicted}, ring held {c.actual}")
+        for prop in ("SIM", "CA"):
+            if prop in path.bad and prop not in failed:
+                extra, detail = path.bad[prop]
+                failed[prop] = (_scenario_witness(sc, extra), detail)
     scope = f"k={k} {'exhaustive' if exhaustive else 'sample'} ({runs} runs"
     if k == 1:
         scope += f", {round1_splits} round-1 splits"

@@ -197,8 +197,9 @@ def cmd_kfault_oracle(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
     ring = Ring(sc, record=False).run()
     _warn(ring.warnings)
+    tree = CounterTree(ring.n)
     try:
-        checks = tree_gate_checks(ring)
+        checks = tree_gate_checks(ring, tree)
     except ValueError as e:
         raise ScenarioError(str(e)) from None
     lines: List[str] = []
@@ -211,9 +212,6 @@ def cmd_kfault_oracle(args: argparse.Namespace) -> int:
             f"fail={c.actual[1]}  {mark}"
         )
         bad += 0 if c.ok else 1
-    tree = CounterTree(ring.n)
-    for ev in ring.events:
-        tree.observe(ev)
     k = len(sc.faults)
     lines.append(
         f"counters in use: {len(tree.counters_in_use())} "

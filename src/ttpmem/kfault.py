@@ -17,12 +17,16 @@ station must hold when its own slot comes up, selecting the arithmetic by
 the station's position relative to the fault rounds.  The predictions use
 only observable slot outcomes, never the stations' internal counters, so
 agreement with a concrete run is a genuine cross-check.
+
+``CounterTree.feed`` is the per-event step: predict the owner's gate from
+the counters as they stand, then observe the event.  A tree fed alongside a
+running ring forks with it, so a sweep feeds each shared prefix once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .ring import Ring, SlotEvent
 
@@ -46,6 +50,19 @@ class CounterTree:
         self.active: set = set(range(n))
         # Virtual pre-run emissions keep window arithmetic uniform.
         self.last_emission: Dict[int, int] = {i: i - n for i in range(n)}
+
+    def fork(self) -> "CounterTree":
+        """An independent copy, to be fed a different continuation."""
+        clone = CounterTree.__new__(CounterTree)
+        clone.n = self.n
+        clone.fault_slots = list(self.fault_slots)
+        clone.levels = [{w: list(cd) for w, cd in level.items()} for level in self.levels]
+        clone.aux_a = dict(self.aux_a)
+        clone.aux_f = dict(self.aux_f)
+        clone.label = dict(self.label)
+        clone.active = set(self.active)
+        clone.last_emission = dict(self.last_emission)
+        return clone
 
     # -- event intake --------------------------------------------------------
 
@@ -113,6 +130,17 @@ class CounterTree:
         self.levels.append(new_level)
         self.aux_a = {w: (1 if w == old_label[emitter] + "1" else 0) for w in new_level}
         self.aux_f = {w: 0 for w in new_level}
+
+    def feed(self, ev: SlotEvent) -> Optional["GateCheck"]:
+        """Take one slot of a run: if an active owner ran its gate, compare
+        the operands with the tree's prediction, then observe the event.
+        Returns that comparison, or None for a slot without an active gate."""
+        check = None
+        if ev.gate is not None and ev.owner_loc in ("in", "agree", "disagree"):
+            check = GateCheck(ev.slot, ev.owner, self.predict_gate(ev.owner, ev.slot),
+                              ev.gate)
+        self.observe(ev)
+        return check
 
     # -- predictions ----------------------------------------------------------
 
@@ -207,23 +235,13 @@ class GateCheck:
         return self.predicted == self.actual
 
 
-def tree_gate_checks(ring: Ring) -> List[GateCheck]:
-    """Replay a completed run through a fresh counter tree and compare every
-    active station's gate operands with the tree's prediction."""
-    tree = CounterTree(ring.n)
-    checks: List[GateCheck] = []
-    for ev in ring.events:
-        if ev.gate is not None and ev.owner_loc in ("in", "agree", "disagree"):
-            checks.append(
-                GateCheck(
-                    slot=ev.slot,
-                    sid=ev.owner,
-                    predicted=tree.predict_gate(ev.owner, ev.slot),
-                    actual=ev.gate,
-                )
-            )
-        tree.observe(ev)
-    return checks
+def tree_gate_checks(ring: Ring, tree: Optional[CounterTree] = None) -> List[GateCheck]:
+    """Replay a completed run through a counter tree (a fresh one unless
+    ``tree``, unfed, is given; it is left holding the whole run) and compare
+    every active station's gate operands with the tree's prediction."""
+    if tree is None:
+        tree = CounterTree(ring.n)
+    return [c for c in map(tree.feed, ring.events) if c is not None]
 
 
 def counting_gate_checks(ring: Ring) -> List[GateCheck]:

@@ -67,14 +67,12 @@ class Location(Enum):
     INTEG_LISTEN = "listen"     # silent, rebuilding a vector from traffic
     INTEG_COUNTING = "counting"  # silent, counting toward the re-entry gate
 
-    @property
-    def is_active(self) -> bool:
-        return self in (Location.ACTIVE_IN, Location.ACTIVE_AGREE, Location.ACTIVE_DISAGREE)
-
-    @property
-    def is_receiving(self) -> bool:
-        """Stations that track traffic (active or integrating)."""
-        return self is not Location.FAILED
+    def __init__(self, value: str) -> None:
+        # Plain attributes, set once per member: the step loop reads them
+        # for every station of every slot.
+        self.is_active = value in ("in", "agree", "disagree")
+        # Stations that track traffic (active or integrating).
+        self.is_receiving = value != "failed"
 
 
 class CheckPhase(Enum):

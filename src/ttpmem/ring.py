@@ -375,6 +375,35 @@ class Ring:
                 self.labels[st.sid] = self.labels[other.sid]
                 return
 
+    def fork(self, fault: FaultSpec) -> "Ring":
+        """A copy of this ring at its current slot whose scenario has one
+        more fault, at this slot or later.  Run on, it produces the events
+        and records that a fresh ring on the extended scenario would; this
+        ring is left as it was."""
+        if fault.slot < self.slot:
+            raise ValueError(f"cannot fork at slot {self.slot} with a fault at "
+                             f"slot {fault.slot}, which has already run")
+        sc = self.scenario
+        scenario = Scenario(sc.n, sc.rounds, sc.faults + (fault,), sc.integrations)
+        clone = Ring.__new__(Ring)
+        # Containers a step changes are copied; the rest is immutable or
+        # read-only, so it is shared.
+        clone.__dict__.update(
+            self.__dict__,
+            scenario=scenario,
+            # Warnings raised while running (after the scenario's own) carry over.
+            warnings=scenario.validate() + (
+                self.warnings[len(sc.validate()):] if self.warnings else []),
+            stations=[StationState(st.sid, st.n, st.member, st.acc, st.fail,
+                                   st.location, st.check, st.first_succ,
+                                   st.listen_from) for st in self.stations],
+            labels=list(self.labels),
+            events=list(self.events),
+            records=list(self.records),
+            _faults={**self._faults, fault.slot: fault},
+        )
+        return clone
+
     def run_until(self, slot: int) -> "Ring":
         while self.slot < min(slot, self.scenario.total_slots):
             self.step()

@@ -15,7 +15,11 @@ boundary-scoped properties survive.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+
+import ttpmem.checker as checker
 
 from ttpmem.abstraction import (
     abstract_inputs_for_slot,
@@ -207,3 +211,35 @@ def test_two_fault_sweep_is_clean_on_the_smallest_ring():
 def test_two_fault_sweep_respects_its_budget():
     with pytest.raises(ResourceCap):
         cross_check([5], k=2, max_runs=10)
+
+
+def test_sample_order_and_witness_of_the_three_fault_sweep():
+    # The first chains of the walk are sampled in enumeration order; the
+    # 125th is the first whose counter tree mispredicts (a recorded k=3
+    # defect), and the witness names that chain and the gate.
+    [clean] = cross_check([4], k=3, max_runs=124)
+    assert all(v.holds for v in clean.verdicts)
+    [result] = cross_check([4], k=3, max_runs=125)
+    ca = next(v for v in result.verdicts if v.prop == "CA")
+    assert not ca.holds
+    assert ca.witness == ("n = 4", "rounds = 6", "fault slot=0 accept=",
+                          "fault slot=3 accept=", "fault slot=5 accept=",
+                          "slot 6 s2")
+    assert ca.detail == "predicted (1, 3), ring held (1, 2)"
+
+
+def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypatch):
+    # Skew the abstraction at slot 2 of the fault-free prefix: chains that
+    # fault at slot 0 or 1 never run that prefix slot, so the witness is the
+    # first chain that does, whose fault is at slot 2.
+    real = checker.abstraction_map
+
+    def skewed(ring):
+        s = real(ring)
+        return replace(s, tg=s.tg + 1) if ring.slot == 2 and not s.fault_seen else s
+
+    monkeypatch.setattr(checker, "abstraction_map", skewed)
+    [result] = cross_check([4])
+    sim = next(v for v in result.verdicts if v.prop == "SIM")
+    assert not sim.holds
+    assert sim.witness == ("n = 4", "rounds = 4", "fault slot=2 accept=", "slot 1")

@@ -9,6 +9,7 @@ golden tables cover.
 
 from __future__ import annotations
 
+from ttpmem.checker import kfault_scenarios
 from ttpmem.kfault import (
     CounterTree,
     counting_gate_checks,
@@ -144,3 +145,34 @@ def test_tree_refuses_integrating_stations():
         assert False, "integrating runs are outside the tree's scope"
     except ValueError:
         pass
+
+
+def test_forked_tree_predicts_like_a_replay_of_the_fresh_run():
+    # Feed a tree alongside the ring up to the cascade's second fault, fork
+    # both there, and the fork's checks continue the fresh run's replay.
+    ring = Ring(Scenario(n=4, rounds=3, faults=CASCADE.faults[:1]), record=False)
+    tree = CounterTree(4)
+    checks = []
+    while ring.slot < CASCADE.faults[1].slot:
+        ring.step()
+        checks.append(tree.feed(ring.events[-1]))
+    fork, forked_tree = ring.fork(CASCADE.faults[1]), tree.fork()
+    while fork.slot < CASCADE.total_slots:
+        fork.step()
+        checks.append(forked_tree.feed(fork.events[-1]))
+    assert [c for c in checks if c is not None] == tree_gate_checks(Ring(CASCADE).run())
+    # The original tree saw nothing of the fork's slots.
+    assert tree.fault_slots == [0] and forked_tree.fault_slots == [0, 2]
+
+
+def test_tree_is_exact_after_two_faults_have_settled():
+    # The sweep stops each k=2 run two rounds after its last fault; running
+    # every n=4 chain to the horizon reaches the tree's headcount branch.
+    runs = settled = 0
+    for sc in kfault_scenarios(4, 2):
+        runs += 1
+        checks = tree_gate_checks(Ring(sc, record=False).run())
+        assert all(c.ok for c in checks), sc
+        settled += sum(c.slot >= sc.faults[-1].slot + 2 * sc.n for c in checks)
+    assert runs == 664
+    assert settled == 3086

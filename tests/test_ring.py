@@ -9,6 +9,8 @@ the implementation.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
 from ttpmem.protocol import Location, SoundnessError, vector_str
@@ -300,3 +302,33 @@ def test_no_fault_run_stays_in_steady_state():
     for ev in ring.events:
         assert ev.emitted, f"steady state must never fall silent: {ev}"
         assert ev.gate is not None and ev.gate[1] == 0
+
+
+def _state(ring: Ring):
+    return ([astuple(st) for st in ring.stations], list(ring.labels),
+            list(ring.events), list(ring.records), ring.slot)
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_fork_runs_like_a_fresh_ring_and_leaves_its_parent_alone(record):
+    # Fork before the first fault, and between the cascade's two faults.
+    for scenario in (SINGLE_FAULT, CASCADE):
+        *earlier, fault = scenario.faults
+        parent = Ring(Scenario(n=4, rounds=scenario.rounds, faults=tuple(earlier)),
+                      record=record).run_until(fault.slot)
+        before = _state(parent)
+        fork = parent.fork(fault).run()
+        fresh = Ring(scenario, record=record).run()
+        assert fork.scenario == scenario
+        assert fork.events == fresh.events
+        assert fork.records == fresh.records
+        assert fork.labels == fresh.labels
+        assert _state(parent) == before
+        # The parent runs on as if it had never been forked.
+        assert parent.run().events == Ring(parent.scenario, record=record).run().events
+
+
+def test_fork_refuses_a_fault_that_has_already_run():
+    ring = Ring(Scenario(n=4, rounds=3), record=False).run_until(3)
+    with pytest.raises(ValueError, match="already run"):
+        ring.fork(FaultSpec(2, frozenset()))
