@@ -5,6 +5,8 @@ counter abstraction (single-fault automaton and multi-fault counter tree),
 and an explicit-state checker that verifies the counting properties and the
 two-round convergence claim, cross-validating concrete runs against the
 abstraction.
+
+The names imported below are the package's public API.
 """
 
 from .protocol import (
@@ -71,62 +73,5 @@ from .checker import (
     explore,
     x_values,
 )
-
-__all__ = [
-    "AbstractInputs",
-    "AbstractState",
-    "AbstractTransition",
-    "CheckPhase",
-    "Convergence",
-    "CounterTree",
-    "FaultSpec",
-    "Frame",
-    "GateCheck",
-    "IntegrationSpec",
-    "Location",
-    "MembershipVector",
-    "PropertyVerdict",
-    "ResourceCap",
-    "Ring",
-    "Scenario",
-    "ScenarioError",
-    "SoundnessError",
-    "SlotEvent",
-    "StabilizationReport",
-    "StateGraph",
-    "StationId",
-    "StationState",
-    "SweepResult",
-    "abstract_init",
-    "abstract_inputs_for_slot",
-    "abstract_successors",
-    "abstraction_map",
-    "check_first_successor",
-    "check_properties",
-    "check_second_successor",
-    "check_stabilization",
-    "clique_gate",
-    "conserves_population",
-    "convergence",
-    "counting_gate_checks",
-    "crc_correct",
-    "cross_check",
-    "expected_counter_count",
-    "explore",
-    "full_vector",
-    "initial_station",
-    "is_single_clique",
-    "parse_scenario",
-    "partition_classes",
-    "receive_step",
-    "reintegrate_step",
-    "render_run_tables",
-    "run_scenario",
-    "scenario_text",
-    "trace_lines",
-    "tree_gate_checks",
-    "vector_str",
-    "x_values",
-]
 
 __version__ = "0.1.0"

@@ -26,9 +26,8 @@ to show the checked properties actually depend on these details.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from .protocol import Location
 from .ring import Ring
 
 
@@ -51,6 +50,17 @@ class AbstractState:
 
     def population(self) -> int:
         return self.c_in + self.c0 + self.c1 + self.cf
+
+
+def _state(fields: Dict[str, object]) -> AbstractState:
+    """An ``AbstractState`` holding ``fields``, which must name every field.
+    The SIM check builds one per slot and per successor, and filling the
+    instance's dict costs a fraction of the frozen ``__init__`` (one
+    ``object.__setattr__`` per field); the result equals and hashes like a
+    constructed state."""
+    s = object.__new__(AbstractState)
+    s.__dict__.update(fields)
+    return s
 
 
 @dataclass(frozen=True)
@@ -99,11 +109,11 @@ def abstract_successors(
     def exhausted(d: int, c: int) -> bool:
         return d == c if strengthened else True
 
-    tg2 = s.tg % s.n + 1
+    base = {**s.__dict__, "tg": s.tg % s.n + 1}
     out: List[AbstractTransition] = []
 
     def add(name: str, emits: bool, **changes) -> None:
-        out.append(AbstractTransition(name, emits, replace(s, tg=tg2, **changes)))
+        out.append(AbstractTransition(name, emits, _state({**base, **changes})))
 
     # -- before the fault ---------------------------------------------------
     if s.c_in > 0:
@@ -219,14 +229,25 @@ def abstraction_map(ring: Ring) -> AbstractState:
     if both successor checks already convicted it — the silent departure is
     only booked at the slot where its sending would have been due, which is
     exactly when the abstract g-branch fires.
+
+    The map stays a pure function of the ring, recomputed at every slot in
+    one pass over the stations and index scans of the events: deriving the
+    state afresh from the concrete ring, not carrying it along the run, is
+    what keeps the simulation check independent of the automaton it checks.
     """
-    n = ring.n
-    sigma = ring.slot
+    n, sigma, labels = ring.n, ring.slot, ring.labels
     faults = ring.scenario.faults
     if len(faults) > 1 and faults[1].slot < sigma:
         raise ValueError("abstraction is defined for at most one fault")
+    c1 = c0 = 0
     for st in ring.stations:
-        if st.location in (Location.INTEG_LISTEN, Location.INTEG_COUNTING):
+        if st.location.is_active:
+            # Every station got a label bit at the fault (none before it);
+            # the first says its class.
+            bit = labels[st.sid][:1]
+            c1 += bit == "1"
+            c0 += bit == "0"
+        elif st.location.is_receiving:
             raise ValueError("abstraction is undefined while stations integrate")
 
     tg = sigma % n + 1
@@ -235,33 +256,29 @@ def abstraction_map(ring: Ring) -> AbstractState:
         return replace(abstract_init(n), tg=tg)
 
     exit_slot = _sender_exit(ring, fault_slot)
-    # Every station got a label bit at the fault; the first says its class.
-    bits = [ring.labels[st.sid][0] for st in ring.stations if st.location.is_active]
-    c1, c0 = bits.count("1"), bits.count("0")
     cf = n - c1 - c0
     if exit_slot is not None and sigma <= fault_slot + n:
         c1 += 1
         cf -= 1
 
-    elapsed = sigma - 1 - fault_slot  # slots completed after the fault slot
-    cp = elapsed % n + 1
-    r = elapsed // n
-    window = fault_slot + n * r
+    r, cp = divmod(sigma - 1 - fault_slot, n)  # slots completed after the fault slot
+    events = ring.events
     d0 = d1 = df = 0
-    for ev in ring.events[window:sigma]:
+    for t in range(fault_slot + n * r, sigma):
+        ev = events[t]
         if not ev.emitted:
             df += 1
-        elif ring.labels[ev.owner].startswith("1"):
+        elif labels[ev.owner][0] == "1":
             d1 += 1
         else:
             d0 += 1
 
-    return AbstractState(
-        n=n, c_in=0, c0=c0, c1=c1, cf=cf,
-        cp=cp, r=r, d0=d0, d1=d1, df=df,
-        tg=tg, sg=fault_slot % n + 1, fault_seen=True,
-        g_exit=exit_slot is not None and sigma > fault_slot + n,
-    )
+    return _state({
+        "n": n, "c_in": 0, "c0": c0, "c1": c1, "cf": cf,
+        "cp": cp + 1, "r": r, "d0": d0, "d1": d1, "df": df,
+        "tg": tg, "sg": fault_slot % n + 1, "fault_seen": True,
+        "g_exit": exit_slot is not None and sigma > fault_slot + n,
+    })
 
 
 def abstract_inputs_for_slot(ring: Ring, slot: int) -> AbstractInputs:

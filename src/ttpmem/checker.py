@@ -103,6 +103,8 @@ def explore(
     literal_guard: bool = False,
     max_states: int = 200_000,
 ) -> StateGraph:
+    if max_states < 1:
+        raise ValueError(f"the state budget must be at least 1, got {max_states}")
     flags = dict(weak_gate=weak_gate, strengthened=strengthened,
                  literal_guard=literal_guard)
     g = StateGraph(n, x)
@@ -291,6 +293,8 @@ def check_properties(
 ) -> List[PropertyVerdict]:
     """All six properties for one ring size.  P2 is checked on the majority
     part of the x-range, P3/P4 on the tie part, P1/P6/P7 everywhere."""
+    if max_states < 1:  # refused also where no x is admissible
+        raise ValueError(f"the state budget must be at least 1, got {max_states}")
     xs = x_values(n, constraint)
     graphs = {
         x: explore(n, x, weak_gate=weak_gate, strengthened=strengthened,

@@ -110,7 +110,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
     ring = Ring(sc, record=False)
     lines: List[str] = []
-    two_rounds = bool(sc.faults) and sc.total_slots >= sc.faults[-1].slot + 2 * sc.n
+    two_rounds = bool(sc.faults) and sc.judgeable(sc.faults[-1].slot)
     if two_rounds:
         last = sc.faults[-1].slot
         lines.append(f"last fault: {sc.faults[-1]}")

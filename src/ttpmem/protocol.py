@@ -18,7 +18,11 @@ keep sending; a station that loses the gate clears its vector and counters
 and falls silent.
 
 Functions here mutate a single :class:`StationState`; the slot/bus
-choreography lives in :mod:`ttpmem.ring`.
+choreography lives in :mod:`ttpmem.ring`.  ``receive_step`` runs for every
+receiver of every frame, so it tests the bits inline (``|`` and ``&~`` on
+the sender's bit) instead of calling ``with_bit``/``crc_correct``, and takes
+the common idle receiver first; the two successor checks stay the named,
+readable rules it calls.
 """
 
 from __future__ import annotations
@@ -183,11 +187,13 @@ def check_first_successor(st: StationState, frame: Frame, clean: bool) -> CheckO
     neither variant matches, the sender itself is judged faulty and the next
     frame becomes the first-successor candidate.
     """
-    base = with_bit(st.member, frame.sender, 1)
-    if crc_correct(frame, with_bit(base, st.sid, 1), clean):
-        return CheckOutcome.MEMBERSHIP
-    if crc_correct(frame, with_bit(base, st.sid, 0), clean):
-        return CheckOutcome.SECOND_WAIT
+    if clean:  # a corrupted frame matches no expectation (``crc_correct``)
+        base = st.member | 1 << frame.sender
+        mine = 1 << st.sid
+        if frame.vector == base | mine:
+            return CheckOutcome.MEMBERSHIP
+        if frame.vector == base & ~mine:
+            return CheckOutcome.SECOND_WAIT
     return CheckOutcome.FIRST_FAULTED
 
 
@@ -202,13 +208,13 @@ def check_second_successor(
     faulty and I must leave.  Anything else: this sender is judged faulty
     and the wait continues.
     """
-    base = with_bit(st.member, frame.sender, 1)
-    mine = with_bit(with_bit(base, st.sid, 1), first, 0)
-    theirs = with_bit(with_bit(base, st.sid, 0), first, 1)
-    if crc_correct(frame, mine, clean):
-        return CheckOutcome.MEMBERSHIP
-    if crc_correct(frame, theirs, clean):
-        return CheckOutcome.LEAVE
+    if clean:
+        base = st.member | 1 << frame.sender
+        mine, theirs = 1 << st.sid, 1 << first
+        if frame.vector == (base | mine) & ~theirs:
+            return CheckOutcome.MEMBERSHIP
+        if frame.vector == (base & ~mine) | theirs:
+            return CheckOutcome.LEAVE
     return CheckOutcome.SECOND_FAULTED
 
 
@@ -223,57 +229,51 @@ def receive_step(st: StationState, frame: Frame, clean: bool) -> ReceiveEvent:
     integrating).  The returned event tells the ring's bookkeeping whether
     the frame counted as agreement, disagreement, or triggered departure.
     """
-    s = frame.sender
-    if st.check is CheckPhase.AWAIT_FIRST:
+    bit = 1 << frame.sender
+    check = st.check
+    if check is CheckPhase.IDLE:
+        # No acknowledgment pending: plain accept/reject.  The sender's bit
+        # is set before comparing, so a valid frame from a station we had
+        # written off (a re-entering one) is accepted and restores its bit.
+        if clean and frame.vector == st.member | bit:
+            st.member |= bit
+            st.acc += 1
+            return ReceiveEvent.ACCEPT
+        st.member &= ~bit
+        st.fail += 1
+        return ReceiveEvent.REJECT
+
+    if check is CheckPhase.AWAIT_FIRST:
         outcome = check_first_successor(st, frame, clean)
         if outcome is CheckOutcome.MEMBERSHIP:
-            st.member = with_bit(st.member, s, 1)
+            st.member |= bit
             st.acc += 1
             st.check = CheckPhase.IDLE
             return ReceiveEvent.ACCEPT
+        st.member &= ~bit
+        st.fail += 1
         if outcome is CheckOutcome.SECOND_WAIT:
-            st.member = with_bit(st.member, s, 0)
-            st.fail += 1
             st.check = CheckPhase.AWAIT_SECOND
-            st.first_succ = s
-            return ReceiveEvent.REJECT
-        # First-successor candidate judged faulty; next frame takes its place.
-        st.member = with_bit(st.member, s, 0)
-        st.fail += 1
+            st.first_succ = frame.sender
+        # Otherwise the first-successor candidate was judged faulty; the
+        # next frame takes its place.
         return ReceiveEvent.REJECT
 
-    if st.check is CheckPhase.AWAIT_SECOND:
-        if st.first_succ is None:
-            raise SoundnessError(f"s{st.sid} awaits a second successor without a first")
-        outcome = check_second_successor(st, frame, clean, st.first_succ)
-        if outcome is CheckOutcome.MEMBERSHIP:
-            st.member = with_bit(st.member, s, 1)
-            st.acc += 1
-            st.check = CheckPhase.IDLE
-            st.first_succ = None
-            return ReceiveEvent.ACCEPT
-        if outcome is CheckOutcome.LEAVE:
-            leave_active(st)
-            return ReceiveEvent.LEAVE
-        st.member = with_bit(st.member, s, 0)
-        st.fail += 1
-        return ReceiveEvent.REJECT
-
-    # No acknowledgment pending: plain accept/reject.  The sender's bit is
-    # set before comparing, so a valid frame from a station we had written
-    # off (a re-entering one) is accepted and restores its bit.
-    if crc_correct(frame, with_bit(st.member, s, 1), clean):
-        st.member = with_bit(st.member, s, 1)
+    if st.first_succ is None:
+        raise SoundnessError(f"s{st.sid} awaits a second successor without a first")
+    outcome = check_second_successor(st, frame, clean, st.first_succ)
+    if outcome is CheckOutcome.MEMBERSHIP:
+        st.member |= bit
         st.acc += 1
+        st.check = CheckPhase.IDLE
+        st.first_succ = None
         return ReceiveEvent.ACCEPT
-    st.member = with_bit(st.member, s, 0)
+    if outcome is CheckOutcome.LEAVE:
+        leave_active(st)
+        return ReceiveEvent.LEAVE
+    st.member &= ~bit
     st.fail += 1
     return ReceiveEvent.REJECT
-
-
-def silent_step(st: StationState, owner: StationId) -> None:
-    """A slot passed with no frame: clear the owner's bit, touch no counter."""
-    st.member = with_bit(st.member, owner, 0)
 
 
 def start_integration(st: StationState, copied: MembershipVector, slot: int) -> None:

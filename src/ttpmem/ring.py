@@ -44,11 +44,14 @@ from .protocol import (
     leave_active,
     receive_step,
     reintegrate_step,
-    silent_step,
     start_integration,
     vector_str,
     with_bit,
 )
+
+
+# Bound once: reading a member off the enum class costs more than the test.
+_ACCEPT, _LEAVE = ReceiveEvent.ACCEPT, ReceiveEvent.LEAVE
 
 
 class ScenarioError(ValueError):
@@ -85,6 +88,10 @@ class Scenario:
     def total_slots(self) -> int:
         return self.n * self.rounds
 
+    def judgeable(self, slot: int) -> bool:
+        """The horizon runs at least two full rounds past ``slot``."""
+        return self.total_slots >= slot + 2 * self.n
+
     def validate(self) -> List[str]:
         """Static checks.  Raises ScenarioError on hard violations, returns
         a list of warnings for admissible-but-unusual inputs."""
@@ -92,36 +99,42 @@ class Scenario:
             raise ScenarioError(f"need at least 3 stations, got n={self.n}")
         if self.rounds < 1:
             raise ScenarioError(f"need at least 1 round, got rounds={self.rounds}")
-        warnings: List[str] = []
-        prev = None
-        for f in self.faults:
-            if not 0 <= f.slot < self.total_slots:
-                raise ScenarioError(f"fault slot {f.slot} outside horizon [0,{self.total_slots})")
-            if prev is not None:
-                if f.slot <= prev:
-                    raise ScenarioError("fault slots must be strictly increasing")
-                if f.slot - prev > self.n:
-                    warnings.append(
-                        f"gap of {f.slot - prev} slots between faults at {prev} and {f.slot} "
-                        f"exceeds one round; counting predictions are not guaranteed there"
-                    )
-            owner = f.slot % self.n
-            for sid in f.accept:
-                if not 0 <= sid < self.n:
-                    raise ScenarioError(f"fault accept id s{sid} out of range")
-                if sid == owner:
-                    raise ScenarioError(f"fault at slot {f.slot}: sender s{owner} cannot be its own receiver")
-            prev = f.slot
-        if self.faults and self.total_slots < self.faults[-1].slot + 2 * self.n:
-            warnings.append(
-                f"horizon ends {self.total_slots} slots in; less than two full rounds after "
-                f"the last fault at slot {self.faults[-1].slot}, so stabilization cannot be judged"
-            )
+        warnings = [w for i in range(len(self.faults)) for w in self.check_fault(i)]
         for ev in self.integrations:
             if not 0 <= ev.station < self.n:
                 raise ScenarioError(f"integration station s{ev.station} out of range")
             if not 0 <= ev.slot < self.total_slots:
                 raise ScenarioError(f"integration slot {ev.slot} outside horizon")
+        return warnings
+
+    def check_fault(self, i: int) -> List[str]:
+        """The rules for ``faults[i]``, given the faults before it: raises
+        ScenarioError on a hard violation, returns the warnings it draws
+        (the horizon warning only for the last fault)."""
+        f = self.faults[i]
+        if not 0 <= f.slot < self.total_slots:
+            raise ScenarioError(f"fault slot {f.slot} outside horizon [0,{self.total_slots})")
+        warnings: List[str] = []
+        if i:
+            prev = self.faults[i - 1].slot
+            if f.slot <= prev:
+                raise ScenarioError("fault slots must be strictly increasing")
+            if f.slot - prev > self.n:
+                warnings.append(
+                    f"gap of {f.slot - prev} slots between faults at {prev} and {f.slot} "
+                    f"exceeds one round; counting predictions are not guaranteed there"
+                )
+        owner = f.slot % self.n
+        for sid in f.accept:
+            if not 0 <= sid < self.n:
+                raise ScenarioError(f"fault accept id s{sid} out of range")
+            if sid == owner:
+                raise ScenarioError(f"fault at slot {f.slot}: sender s{owner} cannot be its own receiver")
+        if i == len(self.faults) - 1 and not self.judgeable(f.slot):
+            warnings.append(
+                f"horizon ends {self.total_slots} slots in; less than two full rounds after "
+                f"the last fault at slot {f.slot}, so stabilization cannot be judged"
+            )
         return warnings
 
 
@@ -234,6 +247,8 @@ class Ring:
             raise ValueError(f"gate must be 'strict' or 'weak', got {gate!r}")
         self.scenario = scenario
         self.warnings = scenario.validate()
+        # The first this many warnings are the scenario's; run-time ones follow.
+        self._scenario_warnings = len(self.warnings)
         self.n = scenario.n
         self.weak_gate = gate == "weak"
         self.record = record
@@ -269,11 +284,12 @@ class Ring:
         t = self.slot
         if t >= self.scenario.total_slots:
             raise IndexError("scenario horizon exhausted")
-        owner = self.stations[t % self.n]
+        stations = self.stations
+        owner = stations[t % self.n]
         fault = self._faults.get(t)
 
         for sid in self._integrations.get(t, ()):
-            st = self.stations[sid]
+            st = stations[sid]
             if st.location is not Location.FAILED:
                 raise ScenarioError(
                     f"integrate station=s{sid} slot={t}: station is {st.location.value}, not failed"
@@ -290,16 +306,16 @@ class Ring:
         gate_vals: Optional[Tuple[int, int]] = None
         departed: List[Tuple[int, str]] = []
 
-        if owner.location.is_active:
+        reentered = False
+        if owner_loc.is_active:
             gate_vals = (owner.acc, owner.fail)
             if clique_gate(owner, weak=self.weak_gate):
                 frame = begin_emission(owner)
             else:
                 leave_active(owner)
                 departed.append((owner.sid, "gate"))
-        reentered = False
-        if owner.location in (Location.INTEG_LISTEN, Location.INTEG_COUNTING):
-            counting = owner.location is Location.INTEG_COUNTING
+        elif owner_loc.is_receiving:  # integrating
+            counting = owner_loc is Location.INTEG_COUNTING
             if counting:
                 gate_vals = (owner.acc, owner.fail)
             frame = reintegrate_step(owner, t, weak=self.weak_gate)
@@ -315,30 +331,33 @@ class Ring:
                     f"fault at slot {t}: owner s{owner.sid} is silent, nothing to corrupt"
                 )
             for sid in fault.accept:
-                if not self.stations[sid].location.is_receiving:
+                if not stations[sid].location.is_receiving:
                     raise ScenarioError(
                         f"fault at slot {t}: accept lists s{sid}, which is not receiving"
                     )
 
         accepted: List[int] = []
         if frame is None:
-            for st in self.stations:
-                if st.sid != owner.sid and st.location.is_receiving:
-                    silent_step(st, owner.sid)
+            # A slot passed with no frame: every receiver clears the owner's
+            # bit and touches no counter.
+            keep = ~(1 << owner.sid)
+            for st in stations:
+                if st is not owner and st.location.is_receiving:
+                    st.member &= keep
         else:
             self.last_frame = frame
-            for st in self.stations:
-                if st.sid == owner.sid or not st.location.is_receiving:
+            accept = None if fault is None else fault.accept
+            for st in stations:
+                if st is owner or not st.location.is_receiving:
                     continue
-                clean = fault is None or st.sid in fault.accept
-                ev = receive_step(st, frame, clean)
-                if ev is ReceiveEvent.ACCEPT:
+                ev = receive_step(st, frame, accept is None or st.sid in accept)
+                if ev is _ACCEPT:
                     accepted.append(st.sid)
-                elif ev is ReceiveEvent.LEAVE:
+                elif ev is _LEAVE:
                     departed.append((st.sid, "second_check"))
             if fault is not None:
                 vouched = set(accepted) | {owner.sid}
-                for st in self.stations:
+                for st in stations:
                     self.labels[st.sid] += "1" if st.sid in vouched else "0"
                     if st.location.is_active:
                         st.location = (
@@ -352,17 +371,13 @@ class Ring:
             # re-entry frame have restored the sender's bit.
             self._adopt_label(owner)
 
-        self.events.append(
-            SlotEvent(
-                slot=t,
-                owner=owner.sid,
-                owner_loc=owner_loc.value,
-                emitted=frame is not None,
-                gate=gate_vals,
-                departed=tuple(departed),
-                accepted=tuple(sorted(accepted)) if fault is not None else None,
-            )
-        )
+        # Filled in directly: the frozen __init__ spends a setattr per field.
+        event = object.__new__(SlotEvent)
+        event.__dict__.update(
+            slot=t, owner=owner.sid, owner_loc=owner_loc._value_,
+            emitted=frame is not None, gate=gate_vals, departed=tuple(departed),
+            accepted=tuple(sorted(accepted)) if fault is not None else None)
+        self.events.append(event)
         if self.record:
             self.records.append(tuple(
                 (st.member, st.acc, st.fail, st.location.value) for st in self.stations
@@ -385,15 +400,21 @@ class Ring:
                              f"slot {fault.slot}, which has already run")
         sc = self.scenario
         scenario = Scenario(sc.n, sc.rounds, sc.faults + (fault,), sc.integrations)
+        # Only the new fault is checked.  The old last fault's horizon
+        # warning, if any, gives way to the new fault's warnings; run-time
+        # warnings follow them.
+        warnings = self.warnings[:self._scenario_warnings]
+        if sc.faults and not sc.judgeable(sc.faults[-1].slot):
+            warnings.pop()
+        warnings += scenario.check_fault(len(sc.faults))
         clone = Ring.__new__(Ring)
         # Containers a step changes are copied; the rest is immutable or
         # read-only, so it is shared.
         clone.__dict__.update(
             self.__dict__,
             scenario=scenario,
-            # Warnings raised while running (after the scenario's own) carry over.
-            warnings=scenario.validate() + (
-                self.warnings[len(sc.validate()):] if self.warnings else []),
+            _scenario_warnings=len(warnings),
+            warnings=warnings + self.warnings[self._scenario_warnings:],
             stations=[StationState(st.sid, st.n, st.member, st.acc, st.fail,
                                    st.location, st.check, st.first_succ,
                                    st.listen_from) for st in self.stations],
@@ -505,7 +526,7 @@ def check_stabilization(scenario: Scenario, gate: str = "strict") -> Stabilizati
     if not scenario.faults:
         raise ScenarioError("stabilization check needs at least one fault")
     last = scenario.faults[-1].slot
-    if scenario.total_slots < last + 2 * scenario.n:
+    if not scenario.judgeable(last):
         raise ScenarioError(
             f"horizon too short to judge stabilization: need {last + 2 * scenario.n} slots, "
             f"scenario has {scenario.total_slots}"

@@ -7,7 +7,7 @@ the slot outcomes of the current round) before running the map.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from ttpmem.abstraction import (
     AbstractInputs,
@@ -18,6 +18,7 @@ from ttpmem.abstraction import (
     abstraction_map,
     conserves_population,
 )
+from ttpmem.checker import explore, kfault_scenarios
 from ttpmem.ring import FaultSpec, IntegrationSpec, Ring, Scenario
 
 
@@ -202,3 +203,30 @@ def test_map_is_undefined_beyond_its_scope():
         assert False, "integration should not be mappable"
     except ValueError:
         pass
+
+
+def test_states_built_in_place_are_whole_and_hash_like_constructed_ones():
+    # The successors and the map fill a state's fields directly instead of
+    # calling the constructor; a field that one of them leaves out (one added
+    # later with a default, say) must not go unnoticed.
+    states = []
+    for n in range(3, 7):
+        for x in range(1, n + 1):
+            g = explore(n, x)
+            states += g.states
+            for s in g.states:
+                for inp in (AbstractInputs(fault=True, x=x), AbstractInputs(g=False),
+                            AbstractInputs(g=True)):
+                    states += [t.post for t in abstract_successors(s, inp)]
+    for n in range(3, 6):
+        for sc in kfault_scenarios(n, 1):
+            ring = Ring(sc, record=False)
+            states.append(abstraction_map(ring))
+            while ring.slot < sc.total_slots:
+                ring.step()
+                states.append(abstraction_map(ring))
+    names = {f.name for f in fields(AbstractState)}
+    for s in states:
+        assert set(vars(s)) == names, s
+        built = AbstractState(**vars(s))
+        assert s == built and hash(s) == hash(built), s

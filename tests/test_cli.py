@@ -150,6 +150,16 @@ def test_check_state_cap_exits_three(capsys):
     assert "cap" in err
 
 
+def test_check_state_budget_below_one_exits_two(capsys):
+    # A budget below one state is bad input, not a cap that was hit; that
+    # holds also where the constraint leaves no graph to explore.
+    for args in (("--n", "4"), ("--n", "3", "--constraint", "tie")):
+        for budget in ("0", "-1"):
+            code, out, err = run(capsys, "check", *args, "--max-states", budget)
+            assert code == 2, f"{args} --max-states {budget}"
+            assert out == "" and "at least 1" in err
+
+
 def test_cross_check_single_fault_is_clean(capsys):
     code, out, _ = run(capsys, "cross-check", "--n", "3..4", "--k", "1")
     assert code == 0

@@ -174,3 +174,66 @@ def test_listening_station_needs_its_start_slot():
     me.listen_from = None
     with pytest.raises(SoundnessError, match="listens without a start slot"):
         reintegrate_step(me, 7)
+
+
+def reference_receive(st: StationState, frame: Frame, clean: bool) -> ReceiveEvent:
+    """The receive rules spelled out with ``with_bit`` and ``crc_correct``:
+    the table below pins ``receive_step`` to them, bit for bit."""
+    s, me = frame.sender, st.sid
+
+    def accept() -> ReceiveEvent:
+        st.member = with_bit(st.member, s, 1)
+        st.acc += 1
+        return ReceiveEvent.ACCEPT
+
+    def reject() -> ReceiveEvent:
+        st.member = with_bit(st.member, s, 0)
+        st.fail += 1
+        return ReceiveEvent.REJECT
+
+    base = with_bit(st.member, s, 1)
+    if st.check is CheckPhase.AWAIT_FIRST:
+        if crc_correct(frame, with_bit(base, me, 1), clean):
+            st.check = CheckPhase.IDLE
+            return accept()
+        if crc_correct(frame, with_bit(base, me, 0), clean):
+            st.check, st.first_succ = CheckPhase.AWAIT_SECOND, s
+        return reject()
+    if st.check is CheckPhase.AWAIT_SECOND:
+        first = st.first_succ
+        if crc_correct(frame, with_bit(with_bit(base, me, 1), first, 0), clean):
+            st.check, st.first_succ = CheckPhase.IDLE, None
+            return accept()
+        if crc_correct(frame, with_bit(with_bit(base, me, 0), first, 1), clean):
+            st.member, st.acc, st.fail = 0, 0, 0
+            st.location, st.check, st.first_succ = Location.FAILED, CheckPhase.IDLE, None
+            return ReceiveEvent.LEAVE
+        return reject()
+    if crc_correct(frame, base, clean):
+        return accept()
+    return reject()
+
+
+def test_receive_step_matches_the_reference_rules_exhaustively():
+    n = 4
+    phases = [(CheckPhase.IDLE, None), (CheckPhase.AWAIT_FIRST, None)]
+    phases += [(CheckPhase.AWAIT_SECOND, first) for first in range(n)]
+    cases = 0
+    for sid in range(n):
+        for check, first in phases:
+            for member in range(1 << n):
+                for vector in range(1 << n):
+                    for sender in range(n):
+                        for clean in (False, True):
+                            got, want = (
+                                StationState(sid, n, member, 2, 1, Location.ACTIVE_IN,
+                                             check, first)
+                                for _ in range(2)
+                            )
+                            frame = Frame(sender, vector)
+                            case = (sid, check, first, member, vector, sender, clean)
+                            assert receive_step(got, frame, clean) is \
+                                reference_receive(want, frame, clean), case
+                            assert got == want, case
+                            cases += 1
+    assert cases == n * len(phases) * 16 * 16 * n * 2

@@ -13,6 +13,7 @@ from dataclasses import astuple
 
 import pytest
 
+from ttpmem.checker import kfault_scenarios
 from ttpmem.protocol import Location, SoundnessError, vector_str
 from ttpmem.ring import (
     FaultSpec,
@@ -332,3 +333,37 @@ def test_fork_refuses_a_fault_that_has_already_run():
     ring = Ring(Scenario(n=4, rounds=3), record=False).run_until(3)
     with pytest.raises(ValueError, match="already run"):
         ring.fork(FaultSpec(2, frozenset()))
+
+
+def test_fork_checks_the_added_fault_like_a_fresh_ring():
+    # Every fork of the n=4, k=2 walk, also on horizons too short to judge
+    # the old or the new last fault, so the horizon warning moves on.
+    forks = [(sc.faults[:i], sc.faults[i], rounds)
+             for sc in kfault_scenarios(4, 2)
+             for i in (0, 1)
+             for rounds in (sc.rounds, 3, 2)]
+    # Faults more than a round apart draw the gap warning.
+    far = (FaultSpec(0, frozenset({2})),)
+    forks += [(far, FaultSpec(slot, frozenset()), rounds)
+              for slot in (5, 6, 9) for rounds in (3, 4)]
+    warned = set()
+    for earlier, fault, rounds in forks:
+        parent = Ring(Scenario(4, rounds, earlier), record=False).run_until(fault.slot)
+        fork = parent.fork(fault)
+        assert fork.warnings == Ring(fork.scenario).warnings
+        warned.update(w.split()[0] for w in fork.warnings)
+    assert warned == {"gap", "horizon"}
+
+    # A fork that breaks a hard rule is refused as the fresh ring is.
+    parent = Ring(Scenario(4, 3, (FaultSpec(5, frozenset({2})),)), record=False)
+    for fault in (FaultSpec(12, frozenset()),     # past the horizon
+                  FaultSpec(5, frozenset()),      # not after the last fault
+                  FaultSpec(3, frozenset()),
+                  FaultSpec(6, frozenset({4})),   # no such station
+                  FaultSpec(6, frozenset({2}))):  # the sender itself
+        extended = Scenario(4, 3, parent.scenario.faults + (fault,))
+        with pytest.raises(ScenarioError) as fresh:
+            Ring(extended)
+        with pytest.raises(ScenarioError) as forked:
+            parent.fork(fault)
+        assert str(forked.value) == str(fresh.value), fault
