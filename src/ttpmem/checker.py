@@ -34,6 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .abstraction import (
     AbstractInputs,
     AbstractState,
+    _state,
     abstract_init,
     abstract_inputs_for_slot,
     abstract_successors,
@@ -62,7 +63,9 @@ class ResourceCap(RuntimeError):
 
 def _canon(s: AbstractState) -> AbstractState:
     # tg/sg are write-only decorations; r only matters as 0 / 1 / >=2.
-    return replace(s, tg=0, sg=0, r=min(s.r, 2))
+    # Built like the successors themselves, without ``replace``: explore
+    # canonicalises every successor it makes.
+    return _state({**s.__dict__, "tg": 0, "sg": 0, "r": min(s.r, 2)})
 
 
 class StateGraph:

@@ -12,11 +12,16 @@ Exit codes: 0 success; 1 a property, convergence, or oracle check failed;
 2 unusable input; 3 a resource cap was hit before the answer was known.
 All output is deterministic — there is no randomness anywhere in the
 package, so byte-identical reruns are part of the contract.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call; a request then costs what
+its verb costs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -280,10 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on bad usage and 0 on --help; keep those codes.
         return int(e.code or 0)

@@ -57,8 +57,12 @@ def with_bit(vector: MembershipVector, i: StationId, value: int) -> MembershipVe
 
 
 def vector_str(vector: MembershipVector, n: int) -> str:
-    """Render bit 0 first: station order left to right."""
-    return "".join(str((vector >> i) & 1) for i in range(n))
+    """Render bit 0 first: station order left to right; bits at or above
+    ``n`` are ignored.  One ``format`` call, reversed: the renderers call
+    this for every station of every slot."""
+    if not n:
+        return ""
+    return format(vector & ((1 << n) - 1), f"0{n}b")[::-1]
 
 
 class Location(Enum):
@@ -224,6 +228,15 @@ class ReceiveEvent(Enum):
     LEAVE = "leave"  # second-check verdict: own transmission was faulty
 
 
+# Bound once: receive_step runs for every receiver of every frame, and
+# reading a member off its enum class costs several times a global name.
+_IDLE, _AWAIT_FIRST, _AWAIT_SECOND = (
+    CheckPhase.IDLE, CheckPhase.AWAIT_FIRST, CheckPhase.AWAIT_SECOND)
+_MEMBERSHIP, _SECOND_WAIT, _CONVICTED = (
+    CheckOutcome.MEMBERSHIP, CheckOutcome.SECOND_WAIT, CheckOutcome.LEAVE)
+_ACCEPT, _REJECT, _LEAVE = ReceiveEvent.ACCEPT, ReceiveEvent.REJECT, ReceiveEvent.LEAVE
+
+
 def receive_step(st: StationState, frame: Frame, clean: bool) -> ReceiveEvent:
     """Process a frame from another station (receiver is active or
     integrating).  The returned event tells the ring's bookkeeping whether
@@ -231,49 +244,49 @@ def receive_step(st: StationState, frame: Frame, clean: bool) -> ReceiveEvent:
     """
     bit = 1 << frame.sender
     check = st.check
-    if check is CheckPhase.IDLE:
+    if check is _IDLE:
         # No acknowledgment pending: plain accept/reject.  The sender's bit
         # is set before comparing, so a valid frame from a station we had
         # written off (a re-entering one) is accepted and restores its bit.
         if clean and frame.vector == st.member | bit:
             st.member |= bit
             st.acc += 1
-            return ReceiveEvent.ACCEPT
+            return _ACCEPT
         st.member &= ~bit
         st.fail += 1
-        return ReceiveEvent.REJECT
+        return _REJECT
 
-    if check is CheckPhase.AWAIT_FIRST:
+    if check is _AWAIT_FIRST:
         outcome = check_first_successor(st, frame, clean)
-        if outcome is CheckOutcome.MEMBERSHIP:
+        if outcome is _MEMBERSHIP:
             st.member |= bit
             st.acc += 1
-            st.check = CheckPhase.IDLE
-            return ReceiveEvent.ACCEPT
+            st.check = _IDLE
+            return _ACCEPT
         st.member &= ~bit
         st.fail += 1
-        if outcome is CheckOutcome.SECOND_WAIT:
-            st.check = CheckPhase.AWAIT_SECOND
+        if outcome is _SECOND_WAIT:
+            st.check = _AWAIT_SECOND
             st.first_succ = frame.sender
         # Otherwise the first-successor candidate was judged faulty; the
         # next frame takes its place.
-        return ReceiveEvent.REJECT
+        return _REJECT
 
     if st.first_succ is None:
         raise SoundnessError(f"s{st.sid} awaits a second successor without a first")
     outcome = check_second_successor(st, frame, clean, st.first_succ)
-    if outcome is CheckOutcome.MEMBERSHIP:
+    if outcome is _MEMBERSHIP:
         st.member |= bit
         st.acc += 1
-        st.check = CheckPhase.IDLE
+        st.check = _IDLE
         st.first_succ = None
-        return ReceiveEvent.ACCEPT
-    if outcome is CheckOutcome.LEAVE:
+        return _ACCEPT
+    if outcome is _CONVICTED:
         leave_active(st)
-        return ReceiveEvent.LEAVE
+        return _LEAVE
     st.member &= ~bit
     st.fail += 1
-    return ReceiveEvent.REJECT
+    return _REJECT
 
 
 def start_integration(st: StationState, copied: MembershipVector, slot: int) -> None:

@@ -52,10 +52,20 @@ from .protocol import (
 
 # Bound once: reading a member off the enum class costs more than the test.
 _ACCEPT, _LEAVE = ReceiveEvent.ACCEPT, ReceiveEvent.LEAVE
+_IN, _AGREE, _DISAGREE = Location.ACTIVE_IN, Location.ACTIVE_AGREE, Location.ACTIVE_DISAGREE
+_FAILED, _COUNTING = Location.FAILED, Location.INTEG_COUNTING
 
 
 class ScenarioError(ValueError):
-    """Ill-formed or unrealizable scenario input."""
+    """Ill-formed or unrealizable scenario input.  ``directive`` names the
+    scenario directive a static check refused, as ``("n", 0)``,
+    ``("rounds", 0)``, ``("fault", i)`` or ``("integrate", i)`` with i the
+    index into ``Scenario.faults`` or ``Scenario.integrations``, so that
+    the parser can give its line."""
+
+    def __init__(self, message: str, directive: Optional[Tuple[str, int]] = None):
+        super().__init__(message)
+        self.directive = directive
 
 
 @dataclass(frozen=True)
@@ -96,15 +106,18 @@ class Scenario:
         """Static checks.  Raises ScenarioError on hard violations, returns
         a list of warnings for admissible-but-unusual inputs."""
         if self.n < 3:
-            raise ScenarioError(f"need at least 3 stations, got n={self.n}")
+            raise ScenarioError(f"need at least 3 stations, got n={self.n}", ("n", 0))
         if self.rounds < 1:
-            raise ScenarioError(f"need at least 1 round, got rounds={self.rounds}")
+            raise ScenarioError(f"need at least 1 round, got rounds={self.rounds}",
+                                ("rounds", 0))
         warnings = [w for i in range(len(self.faults)) for w in self.check_fault(i)]
-        for ev in self.integrations:
+        for i, ev in enumerate(self.integrations):
             if not 0 <= ev.station < self.n:
-                raise ScenarioError(f"integration station s{ev.station} out of range")
+                raise ScenarioError(f"integration station s{ev.station} out of range",
+                                    ("integrate", i))
             if not 0 <= ev.slot < self.total_slots:
-                raise ScenarioError(f"integration slot {ev.slot} outside horizon")
+                raise ScenarioError(f"integration slot {ev.slot} outside horizon",
+                                    ("integrate", i))
         return warnings
 
     def check_fault(self, i: int) -> List[str]:
@@ -112,13 +125,15 @@ class Scenario:
         ScenarioError on a hard violation, returns the warnings it draws
         (the horizon warning only for the last fault)."""
         f = self.faults[i]
+        directive = ("fault", i)
         if not 0 <= f.slot < self.total_slots:
-            raise ScenarioError(f"fault slot {f.slot} outside horizon [0,{self.total_slots})")
+            raise ScenarioError(f"fault slot {f.slot} outside horizon [0,{self.total_slots})",
+                                directive)
         warnings: List[str] = []
         if i:
             prev = self.faults[i - 1].slot
             if f.slot <= prev:
-                raise ScenarioError("fault slots must be strictly increasing")
+                raise ScenarioError("fault slots must be strictly increasing", directive)
             if f.slot - prev > self.n:
                 warnings.append(
                     f"gap of {f.slot - prev} slots between faults at {prev} and {f.slot} "
@@ -127,9 +142,10 @@ class Scenario:
         owner = f.slot % self.n
         for sid in f.accept:
             if not 0 <= sid < self.n:
-                raise ScenarioError(f"fault accept id s{sid} out of range")
+                raise ScenarioError(f"fault accept id s{sid} out of range", directive)
             if sid == owner:
-                raise ScenarioError(f"fault at slot {f.slot}: sender s{owner} cannot be its own receiver")
+                raise ScenarioError(f"fault at slot {f.slot}: sender s{owner} cannot be its "
+                                    "own receiver", directive)
         if i == len(self.faults) - 1 and not self.judgeable(f.slot):
             warnings.append(
                 f"horizon ends {self.total_slots} slots in; less than two full rounds after "
@@ -141,8 +157,10 @@ class Scenario:
 def parse_scenario(text: str) -> Scenario:
     n: Optional[int] = None
     rounds: Optional[int] = None
-    faults: List[FaultSpec] = []
+    faults: List[Tuple[FaultSpec, int]] = []  # with the line of each
     integrations: List[IntegrationSpec] = []
+    # The line of each directive, keyed like ``ScenarioError.directive``.
+    lines: Dict[Tuple[str, int], int] = {}
 
     def kv_args(parts: Sequence[str], lineno: int) -> Dict[str, str]:
         out: Dict[str, str] = {}
@@ -165,7 +183,7 @@ def parse_scenario(text: str) -> Scenario:
             try:
                 accept = frozenset(int(x) for x in args.get("accept", "").split(",")
                                    if x.strip() != "")
-                faults.append(FaultSpec(slot=int(args["slot"]), accept=accept))
+                faults.append((FaultSpec(slot=int(args["slot"]), accept=accept), lineno))
             except ValueError as e:
                 raise ScenarioError(f"line {lineno}: {e}") from None
             extra = set(args) - {"slot", "accept"}
@@ -179,6 +197,7 @@ def parse_scenario(text: str) -> Scenario:
                 spec = IntegrationSpec(station=int(args["station"]), slot=int(args["slot"]))
             except ValueError as e:
                 raise ScenarioError(f"line {lineno}: {e}") from None
+            lines["integrate", len(integrations)] = lineno
             integrations.append(spec)
         elif "=" in line:
             key, _, value = line.partition("=")
@@ -193,18 +212,25 @@ def parse_scenario(text: str) -> Scenario:
                 rounds = ivalue
             else:
                 raise ScenarioError(f"line {lineno}: unknown setting {key!r}")
+            lines[key, 0] = lineno
         else:
             raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
     if n is None:
         raise ScenarioError("scenario does not set n")
     if rounds is None:
         raise ScenarioError("scenario does not set rounds")
+    # Stable, so duplicate slots keep their file order.
+    faults.sort(key=lambda fault_line: fault_line[0].slot)
+    lines.update((("fault", i), lineno) for i, (_, lineno) in enumerate(faults))
     scenario = Scenario(
         n=n, rounds=rounds,
-        faults=tuple(sorted(faults, key=lambda f: f.slot)),
+        faults=tuple(f for f, _ in faults),
         integrations=tuple(integrations),
     )
-    scenario.validate()
+    try:
+        scenario.validate()
+    except ScenarioError as e:  # every static check names its directive
+        raise ScenarioError(f"line {lines[e.directive]}: {e}") from None
     return scenario
 
 
@@ -290,7 +316,7 @@ class Ring:
 
         for sid in self._integrations.get(t, ()):
             st = stations[sid]
-            if st.location is not Location.FAILED:
+            if st.location is not _FAILED:
                 raise ScenarioError(
                     f"integrate station=s{sid} slot={t}: station is {st.location.value}, not failed"
                 )
@@ -315,14 +341,14 @@ class Ring:
                 leave_active(owner)
                 departed.append((owner.sid, "gate"))
         elif owner_loc.is_receiving:  # integrating
-            counting = owner_loc is Location.INTEG_COUNTING
+            counting = owner_loc is _COUNTING
             if counting:
                 gate_vals = (owner.acc, owner.fail)
             frame = reintegrate_step(owner, t, weak=self.weak_gate)
             if frame is not None:
-                owner.location = Location.ACTIVE_IN
+                owner.location = _IN
                 reentered = True
-            elif counting and owner.location is Location.FAILED:
+            elif counting and owner.location is _FAILED:
                 departed.append((owner.sid, "integ_gate"))
 
         if fault is not None:
@@ -360,11 +386,7 @@ class Ring:
                 for st in stations:
                     self.labels[st.sid] += "1" if st.sid in vouched else "0"
                     if st.location.is_active:
-                        st.location = (
-                            Location.ACTIVE_AGREE
-                            if st.sid in vouched
-                            else Location.ACTIVE_DISAGREE
-                        )
+                        st.location = _AGREE if st.sid in vouched else _DISAGREE
 
         if reentered:
             # Classes may merge only now: receivers that accepted the
@@ -380,7 +402,7 @@ class Ring:
         self.events.append(event)
         if self.record:
             self.records.append(tuple(
-                (st.member, st.acc, st.fail, st.location.value) for st in self.stations
+                (st.member, st.acc, st.fail, st.location._value_) for st in stations
             ))
         self.slot += 1
 
@@ -426,7 +448,8 @@ class Ring:
         return clone
 
     def run_until(self, slot: int) -> "Ring":
-        while self.slot < min(slot, self.scenario.total_slots):
+        end = min(slot, self.scenario.total_slots)
+        while self.slot < end:
             self.step()
         return self
 
@@ -567,10 +590,10 @@ _SILENT_NOTES = {"listen": "silent (listening)", "failed": "silent (failed)"}
 
 def render_table(ev: SlotEvent, stations: StationsSnapshot, n: int) -> str:
     note = "sent" if ev.emitted else _SILENT_NOTES.get(ev.owner_loc, "silent (gate failed)")
-    rows = [f"after slot {ev.slot} - s{ev.owner} {note}"]
-    rows.append("  station  vector  acc  fail  location")
-    for sid, (member, acc, fail, loc) in enumerate(stations):
-        rows.append(f"  s{sid:<6}  {vector_str(member, n):<6}  {acc:<3}  {fail:<4}  {loc}")
+    rows = [f"after slot {ev.slot} - s{ev.owner} {note}",
+            "  station  vector  acc  fail  location"]
+    rows += [f"  s{sid:<6}  {vector_str(member, n):<6}  {acc:<3}  {fail:<4}  {loc}"
+             for sid, (member, acc, fail, loc) in enumerate(stations)]
     return "\n".join(rows)
 
 

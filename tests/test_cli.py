@@ -68,11 +68,31 @@ def test_out_flag_writes_the_payload_to_a_file(tmp_path, capsys):
 
 
 def test_parse_errors_carry_the_line_number(tmp_path, capsys):
-    bad = tmp_path / "bad.scn"
-    bad.write_text("n = 4\nrubbish here\nrounds = 2\n")
-    code, _, err = run(capsys, "simulate", "--scenario", str(bad))
-    assert code == 2
-    assert "line 2" in err
+    # Each refused directive sits on a line of its own, away from the last
+    # line; faults out of slot order check that the line follows a fault
+    # through the sort.
+    cases = [
+        ("n = 4\nrubbish here\nrounds = 2\n", "line 2", "cannot parse"),
+        ("n = 4\nrounds = 2\nfault slot=0 accept=0\n# end\n",
+         "line 3", "own receiver"),
+        ("n = 4\nrounds = 2\nfault slot=5 accept=1\nfault slot=1 accept=9\n# end\n",
+         "line 4", "accept id s9 out of range"),
+        ("n = 4\nrounds = 2\nfault slot=9 accept=1\nrounds = 2\n",
+         "line 3", "outside horizon"),
+        ("n = 4\nrounds = 3\nfault slot=4 accept=1\n\nfault slot=0 accept=1\n"
+         "fault slot=4 accept=2\n# end\n",
+         "line 6", "strictly increasing"),
+        ("# tiny\nn = 2\nrounds = 2\n", "line 2", "at least 3"),
+        ("n = 4\nrounds = 3\nintegrate station=1 slot=3\nintegrate station=7 slot=3\n"
+         "fault slot=0 accept=1\n",
+         "line 4", "integration station s7 out of range"),
+    ]
+    for text, line, message in cases:
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        code, out, err = run(capsys, "simulate", "--scenario", str(bad))
+        assert code == 2 and out == "", text
+        assert err.startswith(f"error: {line}: ") and message in err, text
 
 
 def test_invalid_scenarios_exit_two(tmp_path, capsys):
@@ -220,6 +240,39 @@ def test_rejoin_scenario_simulates_to_a_restored_ring(capsys):
     assert code == 0
     last_block = out.rstrip().rsplit("\n\n", 1)[-1]
     assert "s3       1011" in last_block and "in" in last_block
+
+
+def test_the_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    # One process, one parser: neither --tables nor --out of an earlier
+    # call may reach a later one, nor may a usage error or --help.
+    scn = str(FIXTURES / "single_fault.scn")
+    golden = (FIXTURES / "single_fault_tables.txt").read_text()
+    target = tmp_path / "tables.txt"
+    assert run(capsys, "simulate", "--tables", "--out", str(target),
+               "--scenario", scn) == (0, "", "")
+    assert target.read_text() == golden
+    target.unlink()
+
+    code, trace, _ = run(capsys, "simulate", "--scenario", scn)
+    assert code == 0 and trace.startswith("slot=0 owner=s0") and trace != golden
+    code, part, _ = run(capsys, "partition", "--scenario", scn)
+    assert code == 0 and "converged within two rounds: yes" in part
+    code, oracle, _ = run(capsys, "kfault-oracle", "--scenario", scn)
+    assert code == 0 and "mismatches: 0" in oracle
+    code, out, usage_error = run(capsys, "simulate", "--tables")
+    assert code == 2 and out == "" and "--scenario" in usage_error
+    code, usage, _ = run(capsys, "--help")
+    assert code == 0 and "simulate" in usage
+    assert not target.exists()
+
+    # Every call again, now that the parser has seen all of the above.
+    assert run(capsys, "simulate", "--tables", "--scenario", scn) == (0, golden, "")
+    assert run(capsys, "simulate", "--scenario", scn) == (0, trace, "")
+    assert run(capsys, "partition", "--scenario", scn) == (0, part, "")
+    assert run(capsys, "kfault-oracle", "--scenario", scn) == (0, oracle, "")
+    assert run(capsys, "simulate", "--tables") == (2, "", usage_error)
+    assert run(capsys, "--help") == (0, usage, "")
+    assert not target.exists()
 
 
 def test_usage_errors_exit_two_and_help_exits_zero(capsys):

@@ -46,6 +46,14 @@ def test_vector_helpers():
     assert with_bit(vec("1011"), 0, 0) == vec("0011")
 
 
+def test_vector_str_matches_a_bit_by_bit_rendering_exhaustively():
+    # Every vector below 2**(n+2): the two bits above n must not show.
+    for n in range(11):
+        for vector in range(1 << (n + 2)):
+            expected = "".join("1" if vector >> i & 1 else "0" for i in range(n))
+            assert vector_str(vector, n) == expected, (vector, n)
+
+
 def test_crc_is_vector_equality_plus_integrity():
     f = Frame(sender=1, vector=vec("0111"))
     assert crc_correct(f, vec("0111"), clean=True)
