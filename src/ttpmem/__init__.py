@@ -40,6 +40,7 @@ from .ring import (
     convergence,
     is_single_clique,
     parse_scenario,
+    parse_scenario_lines,
     partition_classes,
     render_run_tables,
     run_scenario,

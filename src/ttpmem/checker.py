@@ -23,6 +23,10 @@ The chains come from one depth-first walk: a prefix that several chains
 share runs once, and at every fault point the ring and a counter tree fed
 event by event are forked, so the tree's predictions and the simulation
 check are made once per shared slot and no run is replayed from slot 0.
+The tails are shared too, for k >= 2: siblings (one fork, the last fault
+at the same slot, different accept sets) that reach identical rings and
+trees right after that slot have one judged tail between them.  A single
+fault's tail reads the run's whole history, so it is never shared.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .kfault import CounterTree, counting_gate_checks
 from .kfault import tree_gate_checks  # noqa: F401  (bench/spans.py patches it here)
 from .protocol import SoundnessError, clique_gate
 from .ring import (
+    Convergence,
     FaultSpec,
     Ring,
     Scenario,
@@ -324,10 +329,15 @@ class SweepResult:
     n: int
     runs: int
     verdicts: Tuple[PropertyVerdict, ...]
+    # Chains whose tail was judged once, for an earlier sibling (see _sweep).
+    shared_tails: int = 0
 
 
 def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
     return tuple(scenario_text(sc).splitlines()) + (extra,)
+
+
+Mismatches = Dict[str, Tuple[str, str]]  # check -> (witness line, detail)
 
 
 @dataclass(slots=True)
@@ -342,7 +352,7 @@ class _Path:
     ring: Ring
     tree: Optional[CounterTree] = None
     pre: Optional[AbstractState] = None
-    bad: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    bad: Mismatches = field(default_factory=dict)
 
     def fork(self, fault: FaultSpec) -> "_Path":
         return _Path(self.ring.fork(fault), self.tree and self.tree.fork(),
@@ -405,6 +415,26 @@ def _chains(root: _Path, k: int) -> Iterator[_Path]:
     return extend(root)
 
 
+Tails = Dict[tuple, Tuple[Convergence, Mismatches]]
+
+
+def _tail(path: _Path, end: int, tails: Tails) -> Tuple[Convergence, Mismatches, bool]:
+    """Run a chain's last fault slot, then its tail to ``end``; return its
+    convergence there, its path's mismatches, and whether the two came from
+    ``tails``: the outcomes of this fork's earlier chains, by their state
+    right after the fault slot (the ring, and the counter tree or its
+    absence).  A chain that reaches a new state runs on and adds its own."""
+    path.advance()
+    key = (path.ring.state_key(), None if path.tree is None else path.tree.state_key())
+    outcome = tails.get(key)
+    if outcome is not None:
+        return outcome + (True,)
+    while path.ring.slot < end:
+        path.advance()
+    outcome = tails[key] = (convergence(path.ring), path.bad)
+    return outcome + (False,)
+
+
 def _root(n: int, k: int, gate: str) -> Ring:
     return Ring(Scenario(n=n, rounds=k + 3), gate=gate, record=False)
 
@@ -425,12 +455,25 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     (SIM).  A mismatch on a prefix that chains share (see ``_chains``) is
     reported against the first chain, in enumeration order, through it.
     Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
-    raises; beyond, the first ``max_runs`` (default 100) chains are run."""
+    raises; beyond, the first ``max_runs`` (default 100) chains are run.
+
+    For k >= 2, siblings (chains of one fork: the same earlier faults and
+    the same last fault slot, in a row in the walk) whose accept sets
+    differ only in receivers that reject the frame anyway reach the same
+    ring and counter tree right after that slot.  The first of them runs
+    the 2n-1 slots of the tail; the others take its verdict and mismatches
+    (see ``_tail``), which are exact, as siblings share the prefix and the
+    fault slot's gate check.  Every chain is still counted and gets its own
+    witness.  A single fault's tail is not shared: it reads the whole
+    history (the counting oracle, the abstraction's inputs), and no two
+    single-fault siblings reach the same state anyway."""
     exhaustive = k <= 2
     if not exhaustive and max_runs is None:
         max_runs = 100
-    runs = degenerate = round1_splits = 0
+    runs = degenerate = round1_splits = shared_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
+    tails: Tails = {}  # of the fork ``tails_of``: its siblings come in a row
+    tails_of = None
     ring = _root(n, k, gate)
     root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
     for path in _chains(root, k):
@@ -450,27 +493,33 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
         ring = path.ring
         sc = ring.scenario
         last = sc.faults[-1].slot
-        end = sc.total_slots if k == 1 else last + 2 * n
-        while ring.slot < end:
-            path.advance()
-            if k == 1 and ring.slot == last + n and len(partition_classes(ring)) > 1:
-                round1_splits += 1
-            if ring.slot == last + 2 * n:
-                judged = convergence(ring)
-                degenerate += judged.degenerate  # vacuous clique, not success
-                if not judged.converged and "NC" not in failed:
-                    failed["NC"] = (
-                        _scenario_witness(sc, f"classes at round-2 end: {judged.classes}"),
-                        "still partitioned two rounds after the last fault",
-                    )
-        if "CA" not in failed and k == 1:
-            c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
-            if c is not None:  # the closed form's mismatch goes ahead of the tree's
-                path.bad["CA"] = (f"slot {c.slot} s{c.sid}",
-                                  f"predicted {c.predicted}, ring held {c.actual}")
+        if k == 1:
+            while ring.slot < sc.total_slots:
+                path.advance()
+                if ring.slot == last + n and len(partition_classes(ring)) > 1:
+                    round1_splits += 1
+                if ring.slot == last + 2 * n:
+                    judged = convergence(ring)
+            if "CA" not in failed:
+                c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
+                if c is not None:  # the closed form's mismatch goes ahead of the tree's
+                    path.bad["CA"] = (f"slot {c.slot} s{c.sid}",
+                                      f"predicted {c.predicted}, ring held {c.actual}")
+            bad = path.bad
+        else:
+            if tails_of != (sc.faults[:-1], last):
+                tails, tails_of = {}, (sc.faults[:-1], last)
+            judged, bad, shared = _tail(path, last + 2 * n, tails)
+            shared_tails += shared
+        degenerate += judged.degenerate  # vacuous clique, not success
+        if not judged.converged and "NC" not in failed:
+            failed["NC"] = (
+                _scenario_witness(sc, f"classes at round-2 end: {judged.classes}"),
+                "still partitioned two rounds after the last fault",
+            )
         for prop in ("SIM", "CA"):
-            if prop in path.bad and prop not in failed:
-                extra, detail = path.bad[prop]
+            if prop in bad and prop not in failed:
+                extra, detail = bad[prop]
                 failed[prop] = (_scenario_witness(sc, extra), detail)
     scope = f"k={k} {'exhaustive' if exhaustive else 'sample'} ({runs} runs"
     if k == 1:
@@ -484,7 +533,7 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     return SweepResult(n=n, runs=runs, verdicts=tuple(
         PropertyVerdict(prop, n, scope, prop not in failed, *failed.get(prop, ((), "")))
         for prop in (("NC", "CA", "SIM") if k == 1 else ("NC", "CA"))
-    ))
+    ), shared_tails=shared_tails)
 
 
 def cross_check(

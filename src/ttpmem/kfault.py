@@ -21,6 +21,9 @@ agreement with a concrete run is a genuine cross-check.
 ``CounterTree.feed`` is the per-event step: predict the owner's gate from
 the counters as they stand, then observe the event.  A tree fed alongside a
 running ring forks with it, so a sweep feeds each shared prefix once.
+``observe`` also keeps two derived caches, each level's total d and the
+stations that have departed, so that a prediction reads sums instead of
+rescanning every level and every station's last emission.
 """
 
 from __future__ import annotations
@@ -44,10 +47,14 @@ class CounterTree:
         self.fault_slots: List[int] = []
         # levels[i] (i = 0 for the first fault) maps label -> [C, d]
         self.levels: List[Dict[str, List[int]]] = []
+        # dsum[i] is the sum of d over levels[i] (a cache, not a counter).
+        self.dsum: List[int] = []
         self.aux_a: Dict[str, int] = {}
         self.aux_f: Dict[str, int] = {}
         self.label: Dict[int, str] = {i: "" for i in range(n)}
         self.active: set = set(range(n))
+        # Stations no longer active, in order of departure (a cache).
+        self.departed: List[int] = []
         # Virtual pre-run emissions keep window arithmetic uniform.
         self.last_emission: Dict[int, int] = {i: i - n for i in range(n)}
 
@@ -57,12 +64,24 @@ class CounterTree:
         clone.n = self.n
         clone.fault_slots = list(self.fault_slots)
         clone.levels = [{w: list(cd) for w, cd in level.items()} for level in self.levels]
+        clone.dsum = list(self.dsum)
         clone.aux_a = dict(self.aux_a)
         clone.aux_f = dict(self.aux_f)
         clone.label = dict(self.label)
         clone.active = set(self.active)
+        clone.departed = list(self.departed)
         clone.last_emission = dict(self.last_emission)
         return clone
+
+    def state_key(self) -> tuple:
+        """Every attribute, its containers frozen: two trees with equal keys
+        predict alike, and stay alike when fed the same events."""
+        return (self.n, tuple(self.fault_slots),
+                tuple(tuple((w, c, d) for w, (c, d) in level.items())
+                      for level in self.levels),
+                tuple(self.dsum), tuple(self.aux_a.items()), tuple(self.aux_f.items()),
+                tuple(self.label.items()), frozenset(self.active), tuple(self.departed),
+                tuple(self.last_emission.items()))
 
     # -- event intake --------------------------------------------------------
 
@@ -77,6 +96,7 @@ class CounterTree:
                 w = self.label[ev.owner]
                 if ev.slot < self.fault_slots[-1] + self.n:
                     self.levels[-1][w][1] += 1
+                    self.dsum[-1] += 1
                 if w in self.aux_a:
                     self.aux_a[w] += 1
             self.last_emission[ev.owner] = ev.slot
@@ -95,6 +115,7 @@ class CounterTree:
             if sid not in self.active:
                 continue
             self.active.discard(sid)
+            self.departed.append(sid)
             if self.fault_slots:
                 w = self.label[sid]
                 self.levels[-1][w][0] -= 1
@@ -128,6 +149,7 @@ class CounterTree:
             new_level["1"] = [x, 1]
             new_level["0"] = [self.n - x, 0]
         self.levels.append(new_level)
+        self.dsum.append(1)  # the faulty frame itself
         self.aux_a = {w: (1 if w == old_label[emitter] + "1" else 0) for w in new_level}
         self.aux_f = {w: 0 for w in new_level}
 
@@ -158,15 +180,14 @@ class CounterTree:
             # Window still contains every fault: acc is the working set
             # (active stations, and gone ones whose last frame is still in
             # the window) minus all foreign-class frames, which are exactly fail.
-            working = sum(
-                1
-                for other, last in self.last_emission.items()
-                if other in self.active or last > slot - self.n
+            since = slot - self.n
+            working = len(self.active) + sum(
+                1 for gone in self.departed if self.last_emission[gone] > since
             )
-            foreign = 0
-            for level, counters in enumerate(self.levels, start=1):
-                mine = w_s[:level]
-                foreign += sum(d for w, (_c, d) in counters.items() if w != mine)
+            foreign = sum(
+                total - counters[w_s[:level]][1]
+                for level, (counters, total) in enumerate(zip(self.levels, self.dsum), start=1)
+            )
             return (working - foreign, foreign)
 
         if cp[-1] < self.n:
@@ -179,10 +200,7 @@ class CounterTree:
                 if w[:i] == w_s[:i]
             )
             fail = sum(
-                d
-                for l in range(i, j + 1)
-                for w, (_c, d) in self.levels[l - 1].items()
-                if w != w_s[:l]
+                self.dsum[l - 1] - self.levels[l - 1][w_s[:l]][1] for l in range(i, j + 1)
             )
             fail -= sum(
                 self.aux_a[w] + self.aux_f[w]

@@ -56,16 +56,26 @@ _IN, _AGREE, _DISAGREE = Location.ACTIVE_IN, Location.ACTIVE_AGREE, Location.ACT
 _FAILED, _COUNTING = Location.FAILED, Location.INTEG_COUNTING
 
 
+Directive = Tuple[str, int]
+
+
 class ScenarioError(ValueError):
     """Ill-formed or unrealizable scenario input.  ``directive`` names the
-    scenario directive a static check refused, as ``("n", 0)``,
-    ``("rounds", 0)``, ``("fault", i)`` or ``("integrate", i)`` with i the
-    index into ``Scenario.faults`` or ``Scenario.integrations``, so that
-    the parser can give its line."""
+    scenario directive that a static check or a run refused, as
+    ``("n", 0)``, ``("rounds", 0)``, ``("fault", i)`` or ``("integrate", i)``
+    with i the index into ``Scenario.faults`` or ``Scenario.integrations``,
+    so that whoever parsed the scenario can give its line."""
 
-    def __init__(self, message: str, directive: Optional[Tuple[str, int]] = None):
+    def __init__(self, message: str, directive: Optional[Directive] = None):
         super().__init__(message)
         self.directive = directive
+
+    def located(self, lines: Dict[Directive, int]) -> "ScenarioError":
+        """This error with its directive's line in front, or itself if
+        ``lines`` does not know that directive."""
+        if self.directive not in lines:
+            return self
+        return ScenarioError(f"line {lines[self.directive]}: {self}", self.directive)
 
 
 @dataclass(frozen=True)
@@ -155,12 +165,18 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
+    return parse_scenario_lines(text)[0]
+
+
+def parse_scenario_lines(text: str) -> Tuple[Scenario, Dict[Directive, int]]:
+    """The scenario, and the line of each directive keyed like
+    ``ScenarioError.directive``, so that an error a run raises can be
+    located too.  Errors of the static checks carry their line already."""
     n: Optional[int] = None
     rounds: Optional[int] = None
     faults: List[Tuple[FaultSpec, int]] = []  # with the line of each
     integrations: List[IntegrationSpec] = []
-    # The line of each directive, keyed like ``ScenarioError.directive``.
-    lines: Dict[Tuple[str, int], int] = {}
+    lines: Dict[Directive, int] = {}
 
     def kv_args(parts: Sequence[str], lineno: int) -> Dict[str, str]:
         out: Dict[str, str] = {}
@@ -230,8 +246,8 @@ def parse_scenario(text: str) -> Scenario:
     try:
         scenario.validate()
     except ScenarioError as e:  # every static check names its directive
-        raise ScenarioError(f"line {lines[e.directive]}: {e}") from None
-    return scenario
+        raise e.located(lines) from None
+    return scenario, lines
 
 
 def scenario_text(scenario: Scenario) -> str:
@@ -287,9 +303,10 @@ class Ring:
         self._faults: Dict[int, FaultSpec] = {}
         for f in scenario.faults:
             self._faults[f.slot] = f
-        self._integrations: Dict[int, List[int]] = {}
-        for ev in scenario.integrations:
-            self._integrations.setdefault(ev.slot, []).append(ev.station)
+        # slot -> (index into scenario.integrations, station) of each rejoin
+        self._integrations: Dict[int, List[Tuple[int, int]]] = {}
+        for i, ev in enumerate(scenario.integrations):
+            self._integrations.setdefault(ev.slot, []).append((i, ev.station))
 
     # -- queries -----------------------------------------------------------
 
@@ -314,11 +331,12 @@ class Ring:
         owner = stations[t % self.n]
         fault = self._faults.get(t)
 
-        for sid in self._integrations.get(t, ()):
+        for i, sid in self._integrations.get(t, ()):
             st = stations[sid]
             if st.location is not _FAILED:
                 raise ScenarioError(
-                    f"integrate station=s{sid} slot={t}: station is {st.location.value}, not failed"
+                    f"integrate station=s{sid} slot={t}: station is {st.location.value}, not failed",
+                    ("integrate", i),
                 )
             if self.last_frame is None:
                 self.warnings.append(
@@ -354,12 +372,14 @@ class Ring:
         if fault is not None:
             if frame is None:
                 raise ScenarioError(
-                    f"fault at slot {t}: owner s{owner.sid} is silent, nothing to corrupt"
+                    f"fault at slot {t}: owner s{owner.sid} is silent, nothing to corrupt",
+                    ("fault", self.scenario.faults.index(fault)),
                 )
             for sid in fault.accept:
                 if not stations[sid].location.is_receiving:
                     raise ScenarioError(
-                        f"fault at slot {t}: accept lists s{sid}, which is not receiving"
+                        f"fault at slot {t}: accept lists s{sid}, which is not receiving",
+                        ("fault", self.scenario.faults.index(fault)),
                     )
 
         accepted: List[int] = []
@@ -405,6 +425,17 @@ class Ring:
                 (st.member, st.acc, st.fail, st.location._value_) for st in stations
             ))
         self.slot += 1
+
+    def state_key(self) -> tuple:
+        """What the next steps read that the steps so far have written:
+        every field of every station, the class labels, the last frame and
+        the slot.  Two rings of one scenario, or of scenarios that differ
+        only in faults already run, step on alike from equal keys."""
+        return (self.slot, self.last_frame, tuple(self.labels), tuple(
+            # The enums by value: their own hash is a Python-level call.
+            (st.sid, st.n, st.member, st.acc, st.fail, st.location._value_,
+             st.check._value_, st.first_succ, st.listen_from)
+            for st in self.stations))
 
     def _adopt_label(self, st: StationState) -> None:
         for other in self.stations:

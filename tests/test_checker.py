@@ -15,7 +15,9 @@ boundary-scoped properties survive.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from copy import copy
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 
 import pytest
 
@@ -38,6 +40,8 @@ from ttpmem.checker import (
     explore,
     x_values,
 )
+from ttpmem.kfault import CounterTree
+from ttpmem.protocol import StationState
 from ttpmem.ring import FaultSpec, Ring, Scenario, is_single_clique, partition_classes
 
 
@@ -182,6 +186,7 @@ def test_report_lines_are_single_lines():
 def test_single_fault_sweep_is_exhaustive_and_clean():
     [result] = cross_check([4])
     assert result.runs == 4 * 2 ** 3
+    assert result.shared_tails == 0
     for v in result.verdicts:
         print(v.report_line())
         assert v.holds
@@ -243,3 +248,92 @@ def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypa
     sim = next(v for v in result.verdicts if v.prop == "SIM")
     assert not sim.holds
     assert sim.witness == ("n = 4", "rounds = 4", "fault slot=2 accept=", "slot 1")
+
+
+def test_shared_tails_judge_as_their_full_runs(monkeypatch):
+    # A chain whose tail is taken from an earlier sibling is also run in
+    # full, from a copy made before its fault slot: the full run must end in
+    # the stored classes, clique verdict and active set, and meet the same
+    # first mismatches.  The k=3 sweep runs on past its first CA mismatch,
+    # so it also shares tails of chains whose counter tree was dropped.
+    real = checker._tail
+    reused = 0
+
+    def checked(path, end, tails):
+        nonlocal reused
+        # What a step changes is copied; the rest is immutable.
+        ring = copy(path.ring)
+        ring.stations = [copy(st) for st in ring.stations]
+        ring.labels, ring.events = list(ring.labels), list(ring.events)
+        twin = checker._Path(ring, path.tree and path.tree.fork(), None, dict(path.bad))
+        judged, bad, shared = real(path, end, tails)
+        if shared:
+            reused += 1
+            full, full_bad, _ = real(twin, end, {})
+            assert (full, full_bad) == (judged, bad), path.ring.scenario
+        return judged, bad, shared
+
+    monkeypatch.setattr(checker, "_tail", checked)
+    for ns, k, gate, max_runs, shared in (
+        ([4, 5], 2, "strict", None, [224, 2720]),
+        ([4], 2, "weak", None, [408]),
+        ([4], 3, "strict", 8000, [2560]),
+    ):
+        reused = 0
+        results = cross_check(ns, k=k, max_runs=max_runs, gate=gate)
+        assert [r.shared_tails for r in results] == shared
+        assert reused == sum(shared)
+
+
+def test_single_fault_sweeps_share_no_tail():
+    assert [r.shared_tails for r in cross_check(range(3, 8))] == [0] * 5
+
+
+def _other(value):
+    """A value of the same shape as ``value`` that differs from it."""
+    if isinstance(value, Enum):
+        return next(m for m in type(value) if m is not value)
+    if value is None:
+        return 0
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return [_other(value[0])] + value[1:] if value else [0]
+    if isinstance(value, dict):
+        first = next(iter(value))
+        return {**value, first: _other(value[first])}
+    if isinstance(value, set):
+        return value ^ {-1}
+    if is_dataclass(value):
+        name = fields(value)[0].name
+        return replace(value, **{name: _other(getattr(value, name))})
+    raise TypeError(f"no other value for {value!r}")
+
+
+def test_the_tail_key_covers_every_field():
+    # Changing any one field of a station, the ring's labels, last frame or
+    # slot, or any one attribute of the counter tree changes the key under
+    # which sibling tails are shared, so a field added later cannot be left
+    # out of it.
+    sc = Scenario(n=5, rounds=5, faults=(FaultSpec(0, frozenset({1, 2})),
+                                         FaultSpec(2, frozenset({1}))))
+    ring = Ring(sc, record=False)
+    tree = CounterTree(5)
+    while ring.slot < 8:
+        ring.step()
+        tree.feed(ring.events[-1])
+    assert tree.departed, "the key must also see a departure"
+    names = {f.name for f in fields(StationState)}
+    assert set(vars(ring.stations[1])) == names
+    targets = [(ring.stations[1], name) for name in sorted(names)]
+    targets += [(ring, name) for name in ("labels", "last_frame", "slot")]
+    targets += [(tree, name) for name in sorted(vars(tree))]
+    for obj, name in targets:
+        keys = ring.state_key(), tree.state_key()
+        value = getattr(obj, name)
+        setattr(obj, name, _other(value))
+        assert (ring.state_key(), tree.state_key()) != keys, name
+        setattr(obj, name, value)
+        assert (ring.state_key(), tree.state_key()) == keys, name

@@ -70,7 +70,8 @@ def test_out_flag_writes_the_payload_to_a_file(tmp_path, capsys):
 def test_parse_errors_carry_the_line_number(tmp_path, capsys):
     # Each refused directive sits on a line of its own, away from the last
     # line; faults out of slot order check that the line follows a fault
-    # through the sort.
+    # through the sort.  The last three are refused only by running the
+    # ring, by every verb that runs it.
     cases = [
         ("n = 4\nrubbish here\nrounds = 2\n", "line 2", "cannot parse"),
         ("n = 4\nrounds = 2\nfault slot=0 accept=0\n# end\n",
@@ -86,13 +87,22 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
         ("n = 4\nrounds = 3\nintegrate station=1 slot=3\nintegrate station=7 slot=3\n"
          "fault slot=0 accept=1\n",
          "line 4", "integration station s7 out of range"),
+        ("n = 4\nrounds = 4\nfault slot=7 accept=0\nfault slot=0 accept=\n"
+         "fault slot=3 accept=\n# end\n",
+         "line 3", "owner s3 is silent, nothing to corrupt"),
+        ("n = 4\nrounds = 3\nfault slot=6 accept=3\nfault slot=0 accept=2\n# end\n",
+         "line 3", "accept lists s3, which is not receiving"),
+        ("n = 4\nrounds = 4\nintegrate station=2 slot=9\nintegrate station=1 slot=3\n"
+         "# end\n",
+         "line 4", "station is in, not failed"),
     ]
     for text, line, message in cases:
         bad = tmp_path / "bad.scn"
         bad.write_text(text)
-        code, out, err = run(capsys, "simulate", "--scenario", str(bad))
-        assert code == 2 and out == "", text
-        assert err.startswith(f"error: {line}: ") and message in err, text
+        for verb in ("simulate", "partition", "kfault-oracle"):
+            code, out, err = run(capsys, verb, "--scenario", str(bad))
+            assert code == 2 and out == "", (verb, text)
+            assert err.startswith(f"error: {line}: ") and message in err, (verb, text)
 
 
 def test_invalid_scenarios_exit_two(tmp_path, capsys):

@@ -9,6 +9,8 @@ golden tables cover.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ttpmem.checker import kfault_scenarios
 from ttpmem.kfault import (
     CounterTree,
@@ -176,3 +178,18 @@ def test_tree_is_exact_after_two_faults_have_settled():
         settled += sum(c.slot >= sc.faults[-1].slot + 2 * sc.n for c in checks)
     assert runs == 664
     assert settled == 3086
+
+
+def test_cached_sums_match_the_counters_at_every_slot():
+    # predict_gate reads each level's total d and the departed stations from
+    # caches that observe keeps; after every event they must equal what the
+    # levels and the active set hold.  The k=3 chains include the recorded
+    # mispredictions, which the caches must leave as they are.
+    for n, k, count in ((4, 2, None), (5, 2, 300), (4, 3, 600)):
+        for sc in islice(kfault_scenarios(n, k), count):
+            tree = CounterTree(n)
+            for ev in Ring(sc, record=False).run().events:
+                tree.observe(ev)
+                assert tree.dsum == [sum(d for _c, d in level.values())
+                                     for level in tree.levels], sc
+                assert sorted(tree.departed) == sorted(set(range(n)) - tree.active), sc
