@@ -17,17 +17,13 @@ the six-station counterexample concretely.
 
 from __future__ import annotations
 
-from ttpmem import (
-    FaultSpec,
-    Ring,
-    Scenario,
+from ttpmem.abstraction import (
     abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
-    check_properties,
-    is_single_clique,
-    partition_classes,
 )
+from ttpmem.checker import check_properties
+from ttpmem.ring import FaultSpec, Ring, Scenario, convergence, partition_classes
 
 
 def fmt(s) -> str:
@@ -88,7 +84,7 @@ def part3_concrete_counterexample() -> None:
                   f"(d1={post.d1} d0={post.d0})")
     print(f"  departures: {ring.departures}")
     print(f"  classes now: {partition_classes(ring)}  "
-          f"single clique: {is_single_clique(ring)}")
+          f"single clique: {convergence(ring).single_clique}")
     print("  the tie was decided at d1=3, d0=2 - yet c1 ended at 2, not 3:")
     print("  the steady-voucher-count claim fails while convergence survives.")
 

@@ -16,15 +16,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from ttpmem import (
-    CounterTree,
-    FaultSpec,
-    Ring,
-    Scenario,
-    expected_counter_count,
-    tree_gate_checks,
-)
 from ttpmem.checker import kfault_scenarios
+from ttpmem.kfault import CounterTree, expected_counter_count, tree_gate_checks
+from ttpmem.ring import FaultSpec, Ring, Scenario
 
 
 def replay(scenario: Scenario) -> CounterTree:

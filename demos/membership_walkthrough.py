@@ -9,11 +9,11 @@ station's own slot, and the two-round convergence to a single clique.
 
 from __future__ import annotations
 
-from ttpmem import (
+from ttpmem.ring import (
     FaultSpec,
     Ring,
     Scenario,
-    is_single_clique,
+    convergence,
     partition_classes,
     render_run_tables,
 )
@@ -44,7 +44,7 @@ def main() -> None:
             print(f"  classes after round 1: {partition_classes(ring)}")
         if t == 2 * scenario.n - 1:
             print(f"  classes after round 2: {partition_classes(ring)}")
-            print(f"  single clique: {is_single_clique(ring)}")
+            print(f"  single clique: {convergence(ring).single_clique}")
 
     print()
     print("departures (slot, station, reason):", ring.departures)

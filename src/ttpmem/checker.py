@@ -63,6 +63,10 @@ class ResourceCap(RuntimeError):
     """A sweep hit its configured run budget before finishing."""
 
 
+# Chains a k >= 3 sweep runs when no run budget is given.
+SAMPLE_CHAINS = 100
+
+
 # -- abstract state-space exploration -----------------------------------------
 
 
@@ -439,11 +443,11 @@ def _root(n: int, k: int, gate: str) -> Ring:
     return Ring(Scenario(n=n, rounds=k + 3), gate=gate, record=False)
 
 
-def kfault_scenarios(n: int, k: int, gate: str = "strict") -> Iterable[Scenario]:
-    """Every admissible placement of k faults on a ring with the given
-    clique ``gate``, in the sweep's order: the scenarios of ``_chains``,
-    whose walk runs each prefix once and forks the ring at every fault."""
-    for path in _chains(_Path(_root(n, k, gate)), k):
+def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
+    """Every admissible placement of k faults on a ring with the strict
+    clique gate, in the sweep's order: the scenarios of ``_chains``, whose
+    walk runs each prefix once and forks the ring at every fault."""
+    for path in _chains(_Path(_root(n, k, "strict")), k):
         yield path.ring.scenario
 
 
@@ -455,7 +459,8 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     (SIM).  A mismatch on a prefix that chains share (see ``_chains``) is
     reported against the first chain, in enumeration order, through it.
     Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
-    raises; beyond, the first ``max_runs`` (default 100) chains are run.
+    raises; beyond, the first ``max_runs`` (default ``SAMPLE_CHAINS``)
+    chains are run.
 
     For k >= 2, siblings (chains of one fork: the same earlier faults and
     the same last fault slot, in a row in the walk) whose accept sets
@@ -469,7 +474,7 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     single-fault siblings reach the same state anyway."""
     exhaustive = k <= 2
     if not exhaustive and max_runs is None:
-        max_runs = 100
+        max_runs = SAMPLE_CHAINS
     runs = degenerate = round1_splits = shared_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
     tails: Tails = {}  # of the fork ``tails_of``: its siblings come in a row

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .checker import (
+    SAMPLE_CHAINS,
     PropertyVerdict,
     ResourceCap,
     check_properties,
@@ -73,7 +74,10 @@ def _located(text: str) -> Iterator[None]:
 
 def _emit(payload: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(payload)
+        try:
+            Path(out).write_text(payload)
+        except OSError as e:
+            raise ValueError(f"cannot write {out}: {e}") from None
     else:
         sys.stdout.write(payload)
 
@@ -191,7 +195,7 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
     k = args.k
     results = cross_check(ns, k=k, max_runs=args.max_runs)
     if k >= 3:
-        sample = 100 if args.max_runs is None else args.max_runs
+        sample = SAMPLE_CHAINS if args.max_runs is None else args.max_runs
         print(
             f"warning: exhaustive coverage stops at k=2; the k={k} chain "
             f"space grows factorially, sampling {sample} chains per ring",

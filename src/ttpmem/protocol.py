@@ -46,10 +46,6 @@ def full_vector(n: int) -> MembershipVector:
     return (1 << n) - 1
 
 
-def get_bit(vector: MembershipVector, i: StationId) -> int:
-    return (vector >> i) & 1
-
-
 def with_bit(vector: MembershipVector, i: StationId, value: int) -> MembershipVector:
     if value:
         return vector | (1 << i)

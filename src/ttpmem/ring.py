@@ -46,7 +46,6 @@ from .protocol import (
     reintegrate_step,
     start_integration,
     vector_str,
-    with_bit,
 )
 
 
@@ -213,6 +212,9 @@ def parse_scenario_lines(text: str) -> Tuple[Scenario, Dict[Directive, int]]:
                 spec = IntegrationSpec(station=int(args["station"]), slot=int(args["slot"]))
             except ValueError as e:
                 raise ScenarioError(f"line {lineno}: {e}") from None
+            extra = set(args) - {"station", "slot"}
+            if extra:
+                raise ScenarioError(f"line {lineno}: unknown integrate argument(s) {sorted(extra)}")
             lines["integrate", len(integrations)] = lineno
             integrations.append(spec)
         elif "=" in line:
@@ -222,12 +224,15 @@ def parse_scenario_lines(text: str) -> Tuple[Scenario, Dict[Directive, int]]:
                 ivalue = int(value.strip())
             except ValueError:
                 raise ScenarioError(f"line {lineno}: {key} needs an integer, got {value.strip()!r}") from None
+            if key not in ("n", "rounds"):
+                raise ScenarioError(f"line {lineno}: unknown setting {key!r}")
+            if (key, 0) in lines:
+                raise ScenarioError(f"line {lineno}: {key} is already set on line "
+                                    f"{lines[key, 0]}")
             if key == "n":
                 n = ivalue
-            elif key == "rounds":
-                rounds = ivalue
             else:
-                raise ScenarioError(f"line {lineno}: unknown setting {key!r}")
+                rounds = ivalue
             lines[key, 0] = lineno
         else:
             raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
@@ -488,11 +493,7 @@ class Ring:
         return self.run_until(self.scenario.total_slots)
 
 
-def run_scenario(scenario: Scenario, gate: str = "strict", record: bool = True) -> Ring:
-    return Ring(scenario, gate=gate, record=record).run()
-
-
-# -- partitions and stabilization -------------------------------------------
+# -- partitions and convergence -----------------------------------------------
 
 
 def partition_classes(ring: Ring) -> Dict[str, Tuple[int, ...]]:
@@ -518,20 +519,6 @@ def partition_classes(ring: Ring) -> Dict[str, Tuple[int, ...]]:
     return {k: tuple(v) for k, v in sorted(by_label.items())}
 
 
-def is_single_clique(ring: Ring) -> bool:
-    """All active stations hold identical vectors that acknowledge exactly
-    the active set — i.e. the survivors fully recognize each other and
-    nobody else.  An empty active set is vacuously a clique; reports must
-    flag that case as degenerate rather than call it success."""
-    active = [st for st in ring.stations if st.location.is_active]
-    if not active:
-        return True
-    mask = 0
-    for st in active:
-        mask = with_bit(mask, st.sid, 1)
-    return all(st.member == mask for st in active)
-
-
 @dataclass(frozen=True)
 class Convergence:
     """The class structure of a ring at one instant and its verdict."""
@@ -552,43 +539,16 @@ class Convergence:
 
 
 def convergence(ring: Ring) -> Convergence:
-    """Judge the ring as it stands: its classes, whether the active stations
-    form a single clique, and who is still active."""
-    return Convergence(partition_classes(ring), is_single_clique(ring),
-                       tuple(ring.active_ids()))
-
-
-@dataclass(frozen=True)
-class StabilizationReport:
-    scenario: Scenario
-    classes_after_round1: Dict[str, Tuple[int, ...]]
-    after_round2: Convergence
-
-    @property
-    def active_after_round2(self) -> Tuple[int, ...]:
-        return self.after_round2.active
-
-    @property
-    def converged_in_two_rounds(self) -> bool:
-        return self.after_round2.converged
-
-
-def check_stabilization(scenario: Scenario, gate: str = "strict") -> StabilizationReport:
-    """Run the scenario and judge convergence: after the last fault, one full
-    round may leave several classes, but by the end of the second round the
-    active stations must form a single clique."""
-    if not scenario.faults:
-        raise ScenarioError("stabilization check needs at least one fault")
-    last = scenario.faults[-1].slot
-    if not scenario.judgeable(last):
-        raise ScenarioError(
-            f"horizon too short to judge stabilization: need {last + 2 * scenario.n} slots, "
-            f"scenario has {scenario.total_slots}"
-        )
-    ring = Ring(scenario, gate=gate, record=False)
-    classes_r1 = partition_classes(ring.run_until(last + scenario.n))
-    return StabilizationReport(scenario, classes_r1,
-                               convergence(ring.run_until(last + 2 * scenario.n)))
+    """Judge the ring as it stands: its classes, who is still active, and
+    whether the active stations form a single clique, i.e. hold identical
+    vectors that acknowledge exactly the active set (the survivors fully
+    recognize each other and nobody else).  An empty active set is
+    vacuously a clique; reports must flag that case as degenerate rather
+    than call it success."""
+    active = [st for st in ring.stations if st.location.is_active]
+    mask = sum(1 << st.sid for st in active)
+    return Convergence(partition_classes(ring), all(st.member == mask for st in active),
+                       tuple(st.sid for st in active))
 
 
 # -- rendering ---------------------------------------------------------------

@@ -13,24 +13,26 @@ file fails loudly and the claim must be re-examined.
 
 from __future__ import annotations
 
-import os
 import time
 from itertools import islice
 
 import pytest
 
 from ttpmem.checker import (
-    ResourceCap,
     check_properties,
     cross_check,
     kfault_scenarios,
 )
 from ttpmem.kfault import CounterTree, expected_counter_count
 from ttpmem.protocol import vector_str
-from ttpmem.ring import FaultSpec, Ring, Scenario, run_scenario
+from ttpmem.ring import FaultSpec, Ring, Scenario
 
 # -- frozen reference values (duplicated here on purpose: the gate stands on
 #    its own feet, independent of the other test modules) ----------------------
+
+# Admissible chains per ring size: one fault, n=3..8; two faults, n=4..7.
+K1_RUNS = {3: 12, 4: 32, 5: 80, 6: 192, 7: 448, 8: 1024}
+K2_RUNS = {4: 664, 5: 4820, 6: 24552, 7: 151256}
 
 SINGLE_FAULT = Scenario(n=4, rounds=3, faults=(FaultSpec(0, frozenset({2})),))
 SINGLE_FAULT_TABLES = {
@@ -82,18 +84,12 @@ def k1_sweeps():
 
 @pytest.fixture(scope="module")
 def k2_sweeps():
-    cap = os.environ.get("TTPMEM_K2_CAP")
-    max_runs = int(cap) if cap else None
-    try:
-        return {r.n: r for r in cross_check(range(4, 8), k=2, max_runs=max_runs)}
-    except ResourceCap as e:
-        pytest.fail(f"two-fault sweep budget exhausted: {e} "
-                    f"(raise or unset TTPMEM_K2_CAP)")
+    return {r.n: r for r in cross_check(range(4, 8), k=2)}
 
 
 def test_criterion_1_single_fault_golden_trace():
     t0 = time.time()
-    ring = run_scenario(SINGLE_FAULT)
+    ring = Ring(SINGLE_FAULT).run()
     elapsed = time.time() - t0
     ok = tables_match(ring, SINGLE_FAULT_TABLES)
     ok = ok and ring.departures == [(3, 3, "gate"), (5, 1, "gate")]
@@ -105,7 +101,7 @@ def test_criterion_1_single_fault_golden_trace():
 
 def test_criterion_2_cascade_golden_trace():
     t0 = time.time()
-    ring = run_scenario(CASCADE)
+    ring = Ring(CASCADE).run()
     elapsed = time.time() - t0
     ok = tables_match(ring, CASCADE_TABLES)
     ok = ok and ring.active_ids() == [2]
@@ -123,6 +119,9 @@ def test_criterion_3_two_round_convergence_exhaustive(k1_sweeps):
         nc = next(v for v in result.verdicts if v.prop == "NC")
         if not nc.holds:
             bad.append(nc.report_line())
+    runs_per_n = {n: result.runs for n, result in k1_sweeps.items()}
+    if runs_per_n != K1_RUNS:
+        bad.append(f"runs per n {runs_per_n}, expected {K1_RUNS}")
     for line in bad:
         print("  " + line)
     verdict(3, not bad, f"single clique two rounds after every fault, "
@@ -200,6 +199,9 @@ def test_criterion_7_two_fault_generalization(k2_sweeps):
         for v in result.verdicts:
             if not v.holds:
                 bad.append(v.report_line())
+    runs_per_n = {n: result.runs for n, result in k2_sweeps.items()}
+    if runs_per_n != K2_RUNS:
+        bad.append(f"runs per n {runs_per_n}, expected {K2_RUNS}")
     for line in bad:
         print("  " + line)
     verdict(7, not bad, f"two-fault sweeps n=4..7 ({runs} admissible "

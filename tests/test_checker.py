@@ -42,7 +42,7 @@ from ttpmem.checker import (
 )
 from ttpmem.kfault import CounterTree
 from ttpmem.protocol import StationState
-from ttpmem.ring import FaultSpec, Ring, Scenario, is_single_clique, partition_classes
+from ttpmem.ring import FaultSpec, Ring, Scenario, convergence, partition_classes
 
 
 def test_exploration_reaches_the_settled_ring():
@@ -141,7 +141,7 @@ def test_the_p3_counterexample_is_concretely_realizable():
     assert "r1_guess_exit_rollover" in taken
     assert trigger_seen and shrunk_after
     # convergence is untouched: the two surviving vouchers form the clique
-    assert is_single_clique(ring)
+    assert convergence(ring).single_clique
     assert partition_classes(ring) == {"1": (3, 4)}
 
 

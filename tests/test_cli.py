@@ -67,6 +67,16 @@ def test_out_flag_writes_the_payload_to_a_file(tmp_path, capsys):
     assert target.read_text() == (FIXTURES / "single_fault_tables.txt").read_text()
 
 
+def test_an_unwritable_out_exits_two(tmp_path, capsys):
+    # A missing directory and a directory in the file's place.
+    for target in (tmp_path / "absent" / "x", tmp_path):
+        for verb in ("simulate", "partition"):
+            code, out, err = run(capsys, verb, "--out", str(target),
+                                 "--scenario", str(FIXTURES / "single_fault.scn"))
+            assert code == 2, (verb, target)
+            assert out == "" and err.startswith(f"error: cannot write {target}: ")
+
+
 def test_parse_errors_carry_the_line_number(tmp_path, capsys):
     # Each refused directive sits on a line of its own, away from the last
     # line; faults out of slot order check that the line follows a fault
@@ -78,8 +88,12 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
          "line 3", "own receiver"),
         ("n = 4\nrounds = 2\nfault slot=5 accept=1\nfault slot=1 accept=9\n# end\n",
          "line 4", "accept id s9 out of range"),
-        ("n = 4\nrounds = 2\nfault slot=9 accept=1\nrounds = 2\n",
+        ("n = 4\nrounds = 2\nfault slot=9 accept=1\n# end\n",
          "line 3", "outside horizon"),
+        ("n = 4\nrounds = 2\nfault slot=9 accept=1\nrounds = 2\n",
+         "line 4", "rounds is already set on line 2"),
+        ("n = 4\nrounds = 4\nintegrate station=3 slot=9 bogus=1\n# end\n",
+         "line 3", "unknown integrate argument(s) ['bogus']"),
         ("n = 4\nrounds = 3\nfault slot=4 accept=1\n\nfault slot=0 accept=1\n"
          "fault slot=4 accept=2\n# end\n",
          "line 6", "strictly increasing"),

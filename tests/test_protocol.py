@@ -18,7 +18,6 @@ from ttpmem.protocol import (
     clique_gate,
     crc_correct,
     full_vector,
-    get_bit,
     initial_station,
     receive_step,
     reintegrate_step,
@@ -41,7 +40,6 @@ def station(sid, n, member, acc, fail, check=CheckPhase.IDLE, first=None,
 def test_vector_helpers():
     assert full_vector(4) == 0b1111
     assert vector_str(vec("1011"), 4) == "1011"
-    assert get_bit(vec("1011"), 1) == 0
     assert with_bit(vec("1011"), 1, 1) == vec("1111")
     assert with_bit(vec("1011"), 0, 0) == vec("0011")
 

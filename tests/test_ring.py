@@ -21,12 +21,10 @@ from ttpmem.ring import (
     Ring,
     Scenario,
     ScenarioError,
-    check_stabilization,
-    is_single_clique,
+    convergence,
     parse_scenario,
     partition_classes,
     render_run_tables,
-    run_scenario,
     scenario_text,
     trace_lines,
 )
@@ -65,7 +63,7 @@ def rows(ring: Ring, slot: int):
 
 
 def test_single_fault_reference_tables():
-    ring = run_scenario(SINGLE_FAULT)
+    ring = Ring(SINGLE_FAULT).run()
     for slot, expected in SINGLE_FAULT_TABLES.items():
         got = rows(ring, slot)
         if got != expected:
@@ -75,14 +73,14 @@ def test_single_fault_reference_tables():
 
 
 def test_single_fault_departures_and_survivors():
-    ring = run_scenario(SINGLE_FAULT)
+    ring = Ring(SINGLE_FAULT).run()
     # s3 loses its gate on the tie 2 > 2 at slot 3; s1 on 1 > 2 at slot 5.
     assert ring.departures == [(3, 3, "gate"), (5, 1, "gate")]
     assert ring.active_ids() == [0, 2]
     assert all(
         vector_str(ring.station(i).member, 4) == "1010" for i in (0, 2)
     )
-    assert is_single_clique(ring)
+    assert convergence(ring).single_clique
 
 
 def test_single_fault_classes():
@@ -103,7 +101,7 @@ def test_label_and_vector_partitions_must_agree():
 
 
 def test_cascade_reference_tables():
-    ring = run_scenario(CASCADE)
+    ring = Ring(CASCADE).run()
     for slot, expected in CASCADE_TABLES.items():
         got = rows(ring, slot)
         if got != expected:
@@ -122,13 +120,13 @@ def test_cascade_classes_and_survivor():
     assert ring.departures == [(3, 3, "gate"), (4, 0, "gate"), (5, 1, "gate")]
     assert ring.active_ids() == [2]
     assert vector_str(ring.station(2).member, 4) == "0010"
-    assert is_single_clique(ring)
+    assert convergence(ring).single_clique
 
 
 def test_fault_round_counters_audit():
     # Every gate decision during the reference runs compares acc>fail with
     # exactly the recorded operands.
-    ring = run_scenario(SINGLE_FAULT)
+    ring = Ring(SINGLE_FAULT).run()
     gates = [(ev.slot, ev.gate) for ev in ring.events if ev.gate is not None]
     # Failed stations run no gate, so slot 7 (s3) contributes nothing.
     assert gates[:7] == [
@@ -137,14 +135,23 @@ def test_fault_round_counters_audit():
     ]
 
 
+def stabilization(scenario: Scenario):
+    """The classes one round after the last fault, and the convergence
+    verdict two rounds after it."""
+    last, n = scenario.faults[-1].slot, scenario.n
+    ring = Ring(scenario, record=False)
+    classes_r1 = partition_classes(ring.run_until(last + n))
+    return classes_r1, convergence(ring.run_until(last + 2 * n))
+
+
 def test_stabilization_report():
-    report = check_stabilization(SINGLE_FAULT)
-    assert len(report.classes_after_round1) == 2
-    assert report.converged_in_two_rounds
-    assert report.active_after_round2 == (0, 2)
-    report2 = check_stabilization(CASCADE)
-    assert report2.converged_in_two_rounds
-    assert report2.active_after_round2 == (2,)
+    classes_after_round1, after_round2 = stabilization(SINGLE_FAULT)
+    assert len(classes_after_round1) == 2
+    assert after_round2.converged
+    assert after_round2.active == (0, 2)
+    _, after_round2 = stabilization(CASCADE)
+    assert after_round2.converged
+    assert after_round2.active == (2,)
 
 
 def test_rotational_stationarity():
@@ -152,16 +159,16 @@ def test_rotational_stationarity():
     # replays the same post-fault behavior one round later.
     base = Scenario(n=5, rounds=4, faults=(FaultSpec(2, frozenset({3, 4})),))
     shifted = Scenario(n=5, rounds=5, faults=(FaultSpec(7, frozenset({3, 4})),))
-    r1 = run_scenario(base)
-    r2 = run_scenario(shifted)
+    r1 = Ring(base).run()
+    r2 = Ring(shifted).run()
     tail1 = r1.records[2:]
     tail2 = r2.records[7:]
     assert tail1 == tail2[: len(tail1)]
 
 
 def test_trace_is_deterministic_and_fixed_format():
-    ring1 = run_scenario(SINGLE_FAULT)
-    ring2 = run_scenario(SINGLE_FAULT)
+    ring1 = Ring(SINGLE_FAULT).run()
+    ring2 = Ring(SINGLE_FAULT).run()
     assert trace_lines(ring1) == trace_lines(ring2)
     first = trace_lines(ring1)[0]
     assert first == (
@@ -195,6 +202,12 @@ def test_scenario_parse_errors_carry_line_numbers():
         parse_scenario("n = 4\nrounds = 2\nfault slot=0 accept=a\n")
     with pytest.raises(ScenarioError, match="line 4"):
         parse_scenario("n = 4\nrounds = 4\n# rejoin\nintegrate station=x slot=4\n")
+    with pytest.raises(ScenarioError, match=r"line 3: unknown integrate argument\(s\) \['bogus'\]"):
+        parse_scenario("n = 4\nrounds = 4\nintegrate station=3 slot=9 bogus=1\n")
+    with pytest.raises(ScenarioError, match="line 4: n is already set on line 1"):
+        parse_scenario("n = 4\nrounds = 4\n\nn = 5\n")
+    with pytest.raises(ScenarioError, match="line 3: rounds is already set on line 1"):
+        parse_scenario("rounds = 4\nn = 4\nrounds = 4\n")
 
 
 def test_scenario_static_validation():
@@ -223,7 +236,7 @@ def test_fault_on_silent_slot_is_rejected():
         faults=(FaultSpec(0, frozenset({2})), FaultSpec(7, frozenset({0}))),
     )
     with pytest.raises(ScenarioError, match="silent"):
-        run_scenario(sc)
+        Ring(sc).run()
 
 
 def test_fault_accepter_must_be_receiving():
@@ -232,7 +245,7 @@ def test_fault_accepter_must_be_receiving():
         faults=(FaultSpec(0, frozenset({2})), FaultSpec(6, frozenset({3}))),
     )
     with pytest.raises(ScenarioError, match="not receiving"):
-        run_scenario(sc)
+        Ring(sc).run()
 
 
 def test_reintegration_full_cycle():
@@ -245,12 +258,12 @@ def test_reintegration_full_cycle():
         faults=(FaultSpec(0, frozenset({2})),),
         integrations=(IntegrationSpec(station=3, slot=8),),
     )
-    ring = run_scenario(sc)
+    ring = Ring(sc).run()
     st3 = ring.station(3)
     assert st3.location.is_active
     assert ring.active_ids() == [0, 2, 3]
     # Everyone (including the returnee) acknowledges exactly the active set.
-    assert is_single_clique(ring)
+    assert convergence(ring).single_clique
     assert vector_str(st3.member, 4) == "1011"
     reentry = [ev for ev in ring.events if ev.owner == 3 and ev.emitted]
     assert [ev.slot for ev in reentry] == [19]
@@ -266,7 +279,7 @@ def test_reintegration_gate_failure_returns_to_failed():
         faults=(FaultSpec(0, frozenset({2})), FaultSpec(18, frozenset({0}))),
         integrations=(IntegrationSpec(station=3, slot=8),),
     )
-    ring = run_scenario(sc)
+    ring = Ring(sc).run()
     st3 = ring.station(3)
     assert st3.location is Location.FAILED
     assert (st3.member, st3.acc, st3.fail) == (0, 0, 0)
@@ -284,19 +297,43 @@ def test_reintegration_gate_failure_returns_to_failed():
     ]
 
 
+def test_every_single_fault_departure_rejoins_and_the_ring_converges():
+    # Every chain of one fault at n=4..6 on an 8-round horizon; each station
+    # that leaves rejoins, in a run of its own, at each of the 2n slots
+    # after its departure.  At the horizon the ring has converged, and the
+    # rejoiner is either active in the clique or back in failed.
+    ends = {"clique": 0, "failed": 0}
+    for n in (4, 5, 6):
+        for sc in kfault_scenarios(n, 1):
+            base = Ring(Scenario(n, 8, sc.faults), record=False).run()
+            for ev in base.events:
+                for sid, _ in ev.departed:
+                    for slot in range(ev.slot + 1, ev.slot + 2 * n + 1):
+                        rejoin = (IntegrationSpec(sid, slot),)
+                        ring = Ring(Scenario(n, 8, sc.faults, rejoin), record=False).run()
+                        judged = convergence(ring)
+                        assert judged.converged, (sc.faults, rejoin)
+                        if sid in judged.active:
+                            ends["clique"] += 1
+                        else:
+                            assert ring.station(sid).location is Location.FAILED
+                            ends["failed"] += 1
+    assert ends == {"clique": 6150, "failed": 366}
+
+
 def test_integration_requires_failed_station():
     sc = Scenario(
         n=4, rounds=4,
         integrations=(IntegrationSpec(station=2, slot=0),),
     )
     with pytest.raises(ScenarioError, match="not failed"):
-        run_scenario(sc)
+        Ring(sc).run()
 
 
 def test_no_fault_run_stays_in_steady_state():
-    ring = run_scenario(Scenario(n=5, rounds=4))
+    ring = Ring(Scenario(n=5, rounds=4)).run()
     assert ring.active_ids() == [0, 1, 2, 3, 4]
-    assert is_single_clique(ring)
+    assert convergence(ring).single_clique
     assert partition_classes(ring) == {"": (0, 1, 2, 3, 4)}
     # Counters cycle: after its own slot each station holds (1,0) and gains
     # one acceptance per later slot.
