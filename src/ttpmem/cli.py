@@ -21,11 +21,10 @@ its verb costs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .checker import (
     SAMPLE_CHAINS,
@@ -41,7 +40,6 @@ from .ring import (
     ScenarioError,
     convergence,
     parse_scenario,
-    parse_scenario_lines,
     partition_classes,
     render_run_tables,
     trace_lines,
@@ -53,23 +51,12 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-def _load_scenario(path: str) -> Tuple[Scenario, str]:
-    """The scenario and the text it was parsed from."""
+def _load_scenario(path: str) -> Scenario:
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ScenarioError(f"cannot read scenario {path}: {e}") from None
-    return parse_scenario(text), text
-
-
-@contextlib.contextmanager
-def _located(text: str) -> Iterator[None]:
-    """Put the line of the directive a run refused in front of its error.
-    Only then are the lines needed, so only then is ``text`` parsed again."""
-    try:
-        yield
-    except ScenarioError as e:
-        raise e.located(parse_scenario_lines(text)[1]) from None
+    return parse_scenario(text)
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
@@ -117,9 +104,7 @@ def _warn(lines: Sequence[str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sc, text = _load_scenario(args.scenario)
-    with _located(text):
-        ring = Ring(sc).run()
+    ring = Ring(_load_scenario(args.scenario)).run()
     _warn(ring.warnings)
     if args.tables:
         payload = render_run_tables(ring)
@@ -130,21 +115,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    sc, text = _load_scenario(args.scenario)
+    sc = _load_scenario(args.scenario)
     ring = Ring(sc, record=False)
     lines: List[str] = []
     two_rounds = bool(sc.faults) and sc.judgeable(sc.faults[-1].slot)
-    with _located(text):
-        if two_rounds:
-            last = sc.faults[-1].slot
-            lines.append(f"last fault: {sc.faults[-1]}")
-            classes = partition_classes(ring.run_until(last + sc.n))
-            lines.append(f"classes one round after: {_fmt_classes(classes)}")
-            judged = convergence(ring.run_until(last + 2 * sc.n))
-            lines.append(f"classes two rounds after: {_fmt_classes(judged.classes)}")
-        else:
-            judged = convergence(ring.run())
-            lines.append(f"classes at horizon: {_fmt_classes(judged.classes)}")
+    if two_rounds:
+        last = sc.faults[-1].slot
+        lines.append(f"last fault: {sc.faults[-1]}")
+        classes = partition_classes(ring.run_until(last + sc.n))
+        lines.append(f"classes one round after: {_fmt_classes(classes)}")
+        judged = convergence(ring.run_until(last + 2 * sc.n))
+        lines.append(f"classes two rounds after: {_fmt_classes(judged.classes)}")
+    else:
+        judged = convergence(ring.run())
+        lines.append(f"classes at horizon: {_fmt_classes(judged.classes)}")
     _warn(ring.warnings)
     lines.append(f"active: {','.join(f's{i}' for i in judged.active) or 'nobody'}")
     if judged.degenerate:
@@ -218,9 +202,8 @@ def cmd_cross_check(args: argparse.Namespace) -> int:
 
 
 def cmd_kfault_oracle(args: argparse.Namespace) -> int:
-    sc, text = _load_scenario(args.scenario)
-    with _located(text):
-        ring = Ring(sc, record=False).run()
+    sc = _load_scenario(args.scenario)
+    ring = Ring(sc, record=False).run()
     _warn(ring.warnings)
     tree = CounterTree(ring.n)
     try:

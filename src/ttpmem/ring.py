@@ -14,7 +14,9 @@ every consumer (oracles, abstraction map, renderers) reads it there; with
 ``record=True``, ``Ring.records`` adds each slot's post-slot station
 snapshot, which only the trace and table renderers print.
 
-Scenario file format (one directive per line, '#' comments allowed)::
+Scenario file format: one directive per line, each key given once, '#'
+comments allowed.  The parsed :class:`Scenario` carries the line of each
+directive, so every check, static or run-time, puts it in front of its error::
 
     n = 4
     rounds = 4
@@ -28,7 +30,7 @@ Trace format (one line per slot, fixed field order)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .protocol import (
@@ -39,7 +41,6 @@ from .protocol import (
     StationState,
     begin_emission,
     clique_gate,
-    full_vector,
     initial_station,
     leave_active,
     receive_step,
@@ -59,22 +60,7 @@ Directive = Tuple[str, int]
 
 
 class ScenarioError(ValueError):
-    """Ill-formed or unrealizable scenario input.  ``directive`` names the
-    scenario directive that a static check or a run refused, as
-    ``("n", 0)``, ``("rounds", 0)``, ``("fault", i)`` or ``("integrate", i)``
-    with i the index into ``Scenario.faults`` or ``Scenario.integrations``,
-    so that whoever parsed the scenario can give its line."""
-
-    def __init__(self, message: str, directive: Optional[Directive] = None):
-        super().__init__(message)
-        self.directive = directive
-
-    def located(self, lines: Dict[Directive, int]) -> "ScenarioError":
-        """This error with its directive's line in front, or itself if
-        ``lines`` does not know that directive."""
-        if self.directive not in lines:
-            return self
-        return ScenarioError(f"line {lines[self.directive]}: {self}", self.directive)
+    """Ill-formed or unrealizable scenario input."""
 
 
 @dataclass(frozen=True)
@@ -98,10 +84,15 @@ class IntegrationSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """``lines``: the file line of each directive, keyed ``("n", 0)``,
+    ``("rounds", 0)``, ``("fault", i)`` or ``("integrate", i)``; equality
+    ignores it."""
+
     n: int
     rounds: int
     faults: Tuple[FaultSpec, ...] = ()
     integrations: Tuple[IntegrationSpec, ...] = ()
+    lines: Dict[Directive, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def total_slots(self) -> int:
@@ -111,117 +102,115 @@ class Scenario:
         """The horizon runs at least two full rounds past ``slot``."""
         return self.total_slots >= slot + 2 * self.n
 
+    def refuse(self, message: str, directive: Directive) -> ScenarioError:
+        """The error for ``directive``, with its line in front if known."""
+        line = self.lines.get(directive)
+        return ScenarioError(message if line is None else f"line {line}: {message}")
+
     def validate(self) -> List[str]:
         """Static checks.  Raises ScenarioError on hard violations, returns
         a list of warnings for admissible-but-unusual inputs."""
         if self.n < 3:
-            raise ScenarioError(f"need at least 3 stations, got n={self.n}", ("n", 0))
+            raise self.refuse(f"need at least 3 stations, got n={self.n}", ("n", 0))
         if self.rounds < 1:
-            raise ScenarioError(f"need at least 1 round, got rounds={self.rounds}",
-                                ("rounds", 0))
-        warnings = [w for i in range(len(self.faults)) for w in self.check_fault(i)]
-        for i, ev in enumerate(self.integrations):
-            if not 0 <= ev.station < self.n:
-                raise ScenarioError(f"integration station s{ev.station} out of range",
-                                    ("integrate", i))
-            if not 0 <= ev.slot < self.total_slots:
-                raise ScenarioError(f"integration slot {ev.slot} outside horizon",
-                                    ("integrate", i))
-        return warnings
-
-    def check_fault(self, i: int) -> List[str]:
-        """The rules for ``faults[i]``, given the faults before it: raises
-        ScenarioError on a hard violation, returns the warnings it draws
-        (the horizon warning only for the last fault)."""
-        f = self.faults[i]
-        directive = ("fault", i)
-        if not 0 <= f.slot < self.total_slots:
-            raise ScenarioError(f"fault slot {f.slot} outside horizon [0,{self.total_slots})",
-                                directive)
+            raise self.refuse(f"need at least 1 round, got rounds={self.rounds}",
+                              ("rounds", 0))
         warnings: List[str] = []
-        if i:
-            prev = self.faults[i - 1].slot
-            if f.slot <= prev:
-                raise ScenarioError("fault slots must be strictly increasing", directive)
-            if f.slot - prev > self.n:
-                warnings.append(
-                    f"gap of {f.slot - prev} slots between faults at {prev} and {f.slot} "
-                    f"exceeds one round; counting predictions are not guaranteed there"
-                )
-        owner = f.slot % self.n
-        for sid in f.accept:
-            if not 0 <= sid < self.n:
-                raise ScenarioError(f"fault accept id s{sid} out of range", directive)
-            if sid == owner:
-                raise ScenarioError(f"fault at slot {f.slot}: sender s{owner} cannot be its "
-                                    "own receiver", directive)
-        if i == len(self.faults) - 1 and not self.judgeable(f.slot):
+        for i, f in enumerate(self.faults):
+            directive = ("fault", i)
+            if not 0 <= f.slot < self.total_slots:
+                raise self.refuse(f"fault slot {f.slot} outside horizon "
+                                  f"[0,{self.total_slots})", directive)
+            if i:
+                prev = self.faults[i - 1].slot
+                if f.slot <= prev:
+                    raise self.refuse("fault slots must be strictly increasing", directive)
+                if f.slot - prev > self.n:
+                    warnings.append(
+                        f"gap of {f.slot - prev} slots between faults at {prev} and "
+                        f"{f.slot} exceeds one round; counting predictions are not "
+                        f"guaranteed there"
+                    )
+            owner = f.slot % self.n
+            for sid in f.accept:
+                if not 0 <= sid < self.n:
+                    raise self.refuse(f"fault accept id s{sid} out of range", directive)
+                if sid == owner:
+                    raise self.refuse(f"fault at slot {f.slot}: sender s{owner} cannot be "
+                                      "its own receiver", directive)
+        if self.faults and not self.judgeable(self.faults[-1].slot):
             warnings.append(
                 f"horizon ends {self.total_slots} slots in; less than two full rounds after "
-                f"the last fault at slot {f.slot}, so stabilization cannot be judged"
+                f"the last fault at slot {self.faults[-1].slot}, so stabilization cannot "
+                f"be judged"
             )
+        for i, ev in enumerate(self.integrations):
+            if not 0 <= ev.station < self.n:
+                raise self.refuse(f"integration station s{ev.station} out of range",
+                                  ("integrate", i))
+            if not 0 <= ev.slot < self.total_slots:
+                raise self.refuse(f"integration slot {ev.slot} outside horizon",
+                                  ("integrate", i))
         return warnings
+
+
+def _ids(value: str) -> frozenset:
+    return frozenset(int(x) for x in value.split(",") if x.strip() != "")
+
+
+# Per directive: the spec it builds, its required integer keys, and its
+# optional keys with the reader of each, which reads "" when the key is
+# absent.  Optional values are read first.
+_DIRECTIVES = {
+    "fault": (FaultSpec, ("slot",), {"accept": _ids}),
+    "integrate": (IntegrationSpec, ("station", "slot"), {}),
+}
+
+
+def _directive(keyword: str, parts: Sequence[str], lineno: int):
+    """The spec a ``fault`` or ``integrate`` line gives: each key once, the
+    required ones present, every value readable, no other key."""
+    spec, required, optional = _DIRECTIVES[keyword]
+    args: Dict[str, str] = {}
+    for p in parts:
+        if "=" not in p:
+            raise ScenarioError(f"line {lineno}: expected key=value, got {p!r}")
+        key, _, value = p.partition("=")
+        if key in args:
+            raise ScenarioError(f"line {lineno}: {keyword} gives {key}= twice")
+        args[key] = value
+    if not all(k in args for k in required):
+        raise ScenarioError(f"line {lineno}: {keyword} needs "
+                            + " and ".join(f"{k}=" for k in required))
+    try:
+        values = {k: read(args.get(k, "")) for k, read in optional.items()}
+        values.update((k, int(args[k])) for k in required)
+    except ValueError as e:
+        raise ScenarioError(f"line {lineno}: {e}") from None
+    extra = set(args) - set(required) - set(optional)
+    if extra:
+        raise ScenarioError(f"line {lineno}: unknown {keyword} argument(s) {sorted(extra)}")
+    return spec(**values)
 
 
 def parse_scenario(text: str) -> Scenario:
-    return parse_scenario_lines(text)[0]
-
-
-def parse_scenario_lines(text: str) -> Tuple[Scenario, Dict[Directive, int]]:
-    """The scenario, and the line of each directive keyed like
-    ``ScenarioError.directive``, so that an error a run raises can be
-    located too.  Errors of the static checks carry their line already."""
-    n: Optional[int] = None
-    rounds: Optional[int] = None
-    faults: List[Tuple[FaultSpec, int]] = []  # with the line of each
-    integrations: List[IntegrationSpec] = []
+    """The scenario a file gives, carrying the line of each directive, so
+    that every check, static or run-time, can name it."""
+    settings: Dict[str, int] = {}
+    specs: Dict[str, list] = {"fault": [], "integrate": []}  # (spec, line) each
     lines: Dict[Directive, int] = {}
-
-    def kv_args(parts: Sequence[str], lineno: int) -> Dict[str, str]:
-        out: Dict[str, str] = {}
-        for p in parts:
-            if "=" not in p:
-                raise ScenarioError(f"line {lineno}: expected key=value, got {p!r}")
-            k, v = p.split("=", 1)
-            out[k.strip()] = v.strip()
-        return out
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "fault":
-            args = kv_args(tokens[1:], lineno)
-            if "slot" not in args:
-                raise ScenarioError(f"line {lineno}: fault needs slot=")
-            try:
-                accept = frozenset(int(x) for x in args.get("accept", "").split(",")
-                                   if x.strip() != "")
-                faults.append((FaultSpec(slot=int(args["slot"]), accept=accept), lineno))
-            except ValueError as e:
-                raise ScenarioError(f"line {lineno}: {e}") from None
-            extra = set(args) - {"slot", "accept"}
-            if extra:
-                raise ScenarioError(f"line {lineno}: unknown fault argument(s) {sorted(extra)}")
-        elif tokens[0] == "integrate":
-            args = kv_args(tokens[1:], lineno)
-            if "station" not in args or "slot" not in args:
-                raise ScenarioError(f"line {lineno}: integrate needs station= and slot=")
-            try:
-                spec = IntegrationSpec(station=int(args["station"]), slot=int(args["slot"]))
-            except ValueError as e:
-                raise ScenarioError(f"line {lineno}: {e}") from None
-            extra = set(args) - {"station", "slot"}
-            if extra:
-                raise ScenarioError(f"line {lineno}: unknown integrate argument(s) {sorted(extra)}")
-            lines["integrate", len(integrations)] = lineno
-            integrations.append(spec)
+        if tokens[0] in specs:
+            specs[tokens[0]].append((_directive(tokens[0], tokens[1:], lineno), lineno))
         elif "=" in line:
             key, _, value = line.partition("=")
             key = key.strip()
             try:
-                ivalue = int(value.strip())
+                settings[key] = int(value.strip())
             except ValueError:
                 raise ScenarioError(f"line {lineno}: {key} needs an integer, got {value.strip()!r}") from None
             if key not in ("n", "rounds"):
@@ -229,30 +218,24 @@ def parse_scenario_lines(text: str) -> Tuple[Scenario, Dict[Directive, int]]:
             if (key, 0) in lines:
                 raise ScenarioError(f"line {lineno}: {key} is already set on line "
                                     f"{lines[key, 0]}")
-            if key == "n":
-                n = ivalue
-            else:
-                rounds = ivalue
             lines[key, 0] = lineno
         else:
             raise ScenarioError(f"line {lineno}: cannot parse {line!r}")
-    if n is None:
-        raise ScenarioError("scenario does not set n")
-    if rounds is None:
-        raise ScenarioError("scenario does not set rounds")
+    for key in ("n", "rounds"):
+        if key not in settings:
+            raise ScenarioError(f"scenario does not set {key}")
     # Stable, so duplicate slots keep their file order.
-    faults.sort(key=lambda fault_line: fault_line[0].slot)
-    lines.update((("fault", i), lineno) for i, (_, lineno) in enumerate(faults))
+    specs["fault"].sort(key=lambda fault_line: fault_line[0].slot)
+    for keyword, found in specs.items():
+        lines.update(((keyword, i), lineno) for i, (_, lineno) in enumerate(found))
     scenario = Scenario(
-        n=n, rounds=rounds,
-        faults=tuple(f for f, _ in faults),
-        integrations=tuple(integrations),
+        n=settings["n"], rounds=settings["rounds"],
+        faults=tuple(f for f, _ in specs["fault"]),
+        integrations=tuple(ev for ev, _ in specs["integrate"]),
+        lines=lines,
     )
-    try:
-        scenario.validate()
-    except ScenarioError as e:  # every static check names its directive
-        raise e.located(lines) from None
-    return scenario, lines
+    scenario.validate()
+    return scenario
 
 
 def scenario_text(scenario: Scenario) -> str:
@@ -266,6 +249,10 @@ def scenario_text(scenario: Scenario) -> str:
 
 
 StationsSnapshot = Tuple[Tuple[int, int, int, str], ...]  # (vector, acc, fail, loc)
+
+
+def _snapshot(stations: Sequence[StationState]) -> StationsSnapshot:
+    return tuple((st.member, st.acc, st.fail, st.location._value_) for st in stations)
 
 
 @dataclass(frozen=True)
@@ -294,8 +281,6 @@ class Ring:
             raise ValueError(f"gate must be 'strict' or 'weak', got {gate!r}")
         self.scenario = scenario
         self.warnings = scenario.validate()
-        # The first this many warnings are the scenario's; run-time ones follow.
-        self._scenario_warnings = len(self.warnings)
         self.n = scenario.n
         self.weak_gate = gate == "weak"
         self.record = record
@@ -339,16 +324,12 @@ class Ring:
         for i, sid in self._integrations.get(t, ()):
             st = stations[sid]
             if st.location is not _FAILED:
-                raise ScenarioError(
+                raise self.scenario.refuse(
                     f"integrate station=s{sid} slot={t}: station is {st.location.value}, not failed",
                     ("integrate", i),
                 )
-            if self.last_frame is None:
-                self.warnings.append(
-                    f"s{sid} cannot start integrating at slot {t}: no frame ever sent"
-                )
-            else:
-                start_integration(st, self.last_frame.vector, t)
+            # Set since slot 0, where s0 passes its gate and nobody is failed.
+            start_integration(st, self.last_frame.vector, t)
 
         owner_loc = owner.location
         frame: Optional[Frame] = None
@@ -376,13 +357,13 @@ class Ring:
 
         if fault is not None:
             if frame is None:
-                raise ScenarioError(
+                raise self.scenario.refuse(
                     f"fault at slot {t}: owner s{owner.sid} is silent, nothing to corrupt",
                     ("fault", self.scenario.faults.index(fault)),
                 )
             for sid in fault.accept:
                 if not stations[sid].location.is_receiving:
-                    raise ScenarioError(
+                    raise self.scenario.refuse(
                         f"fault at slot {t}: accept lists s{sid}, which is not receiving",
                         ("fault", self.scenario.faults.index(fault)),
                     )
@@ -426,9 +407,7 @@ class Ring:
             accepted=tuple(sorted(accepted)) if fault is not None else None)
         self.events.append(event)
         if self.record:
-            self.records.append(tuple(
-                (st.member, st.acc, st.fail, st.location._value_) for st in stations
-            ))
+            self.records.append(_snapshot(stations))
         self.slot += 1
 
     def state_key(self) -> tuple:
@@ -457,22 +436,15 @@ class Ring:
             raise ValueError(f"cannot fork at slot {self.slot} with a fault at "
                              f"slot {fault.slot}, which has already run")
         sc = self.scenario
-        scenario = Scenario(sc.n, sc.rounds, sc.faults + (fault,), sc.integrations)
-        # Only the new fault is checked.  The old last fault's horizon
-        # warning, if any, gives way to the new fault's warnings; run-time
-        # warnings follow them.
-        warnings = self.warnings[:self._scenario_warnings]
-        if sc.faults and not sc.judgeable(sc.faults[-1].slot):
-            warnings.pop()
-        warnings += scenario.check_fault(len(sc.faults))
+        scenario = Scenario(sc.n, sc.rounds, sc.faults + (fault,), sc.integrations, sc.lines)
+        warnings = scenario.validate()
         clone = Ring.__new__(Ring)
         # Containers a step changes are copied; the rest is immutable or
         # read-only, so it is shared.
         clone.__dict__.update(
             self.__dict__,
             scenario=scenario,
-            _scenario_warnings=len(warnings),
-            warnings=warnings + self.warnings[self._scenario_warnings:],
+            warnings=warnings,
             stations=[StationState(st.sid, st.n, st.member, st.acc, st.fail,
                                    st.location, st.check, st.first_succ,
                                    st.listen_from) for st in self.stations],
@@ -564,16 +536,6 @@ def trace_lines(ring: Ring) -> List[str]:
     return lines
 
 
-def initial_table(n: int) -> str:
-    rows = ["initial state"]
-    rows.append("  station  vector  acc  fail  location")
-    for i in range(n):
-        rows.append(
-            f"  s{i:<6}  {vector_str(full_vector(n), n):<6}  {n - i:<3}  {0:<4}  in"
-        )
-    return "\n".join(rows)
-
-
 # A silent owner's note by its location before the slot; an active or
 # counting owner that stays silent has failed its gate.
 _SILENT_NOTES = {"listen": "silent (listening)", "failed": "silent (failed)"}
@@ -581,15 +543,19 @@ _SILENT_NOTES = {"listen": "silent (listening)", "failed": "silent (failed)"}
 
 def render_table(ev: SlotEvent, stations: StationsSnapshot, n: int) -> str:
     note = "sent" if ev.emitted else _SILENT_NOTES.get(ev.owner_loc, "silent (gate failed)")
-    rows = [f"after slot {ev.slot} - s{ev.owner} {note}",
-            "  station  vector  acc  fail  location"]
+    return _table(f"after slot {ev.slot} - s{ev.owner} {note}", stations, n)
+
+
+def _table(title: str, stations: StationsSnapshot, n: int) -> str:
+    rows = [title, "  station  vector  acc  fail  location"]
     rows += [f"  s{sid:<6}  {vector_str(member, n):<6}  {acc:<3}  {fail:<4}  {loc}"
              for sid, (member, acc, fail, loc) in enumerate(stations)]
     return "\n".join(rows)
 
 
 def render_run_tables(ring: Ring) -> str:
-    blocks = [initial_table(ring.n)]
+    initial = [initial_station(i, ring.n) for i in range(ring.n)]
+    blocks = [_table("initial state", _snapshot(initial), ring.n)]
     blocks.extend(render_table(ev, stations, ring.n)
                   for ev, stations in zip(ring.events, ring.records))
     return "\n\n".join(blocks) + "\n"

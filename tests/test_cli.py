@@ -94,6 +94,13 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
          "line 4", "rounds is already set on line 2"),
         ("n = 4\nrounds = 4\nintegrate station=3 slot=9 bogus=1\n# end\n",
          "line 3", "unknown integrate argument(s) ['bogus']"),
+        # A key given twice in one directive, whichever value would run.
+        ("n = 4\nrounds = 2\nfault slot=0 slot=5 accept=1\n# end\n",
+         "line 3", "fault gives slot= twice"),
+        ("n = 4\nrounds = 2\n\nfault slot=0 accept=2 accept=3\n# end\n",
+         "line 4", "fault gives accept= twice"),
+        ("n = 4\nrounds = 2\nintegrate station=1 station=3 slot=4\n# end\n",
+         "line 3", "integrate gives station= twice"),
         ("n = 4\nrounds = 3\nfault slot=4 accept=1\n\nfault slot=0 accept=1\n"
          "fault slot=4 accept=2\n# end\n",
          "line 6", "strictly increasing"),

@@ -208,6 +208,8 @@ def test_scenario_parse_errors_carry_line_numbers():
         parse_scenario("n = 4\nrounds = 4\n\nn = 5\n")
     with pytest.raises(ScenarioError, match="line 3: rounds is already set on line 1"):
         parse_scenario("rounds = 4\nn = 4\nrounds = 4\n")
+    with pytest.raises(ScenarioError, match="line 3: fault gives accept= twice"):
+        parse_scenario("n = 4\nrounds = 2\nfault slot=0 accept=2 accept=3\n")
 
 
 def test_scenario_static_validation():
@@ -404,3 +406,14 @@ def test_fork_checks_the_added_fault_like_a_fresh_ring():
         with pytest.raises(ScenarioError) as forked:
             parent.fork(fault)
         assert str(forked.value) == str(fresh.value), fault
+
+
+def test_a_fork_of_a_parsed_scenario_keeps_its_lines():
+    # The rejoin on line 4 is refused by the run, after the fork added a
+    # fault that no line gave.
+    sc = parse_scenario("n = 4\nrounds = 4\n# s2 never fails\nintegrate station=2 slot=9\n")
+    ring = Ring(sc, record=False).fork(FaultSpec(1, frozenset({0, 2, 3})))
+    assert ring.scenario.lines == sc.lines
+    with pytest.raises(ScenarioError,
+                       match=r"^line 4: integrate station=s2 slot=9: station is agree, not failed$"):
+        ring.run()
