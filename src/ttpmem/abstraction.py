@@ -13,14 +13,18 @@ ring into x vouchers and n-x rejecters), and ``g`` (at the faulty station's
 next own slot: both successor checks went against it, so it left silently
 during the round instead of reaching its gate).
 
-The clique gate shows up as guard arithmetic: during the fault round a
-station of the rejecting class has acc = c0+c1-d1 and fail = d1 when its
-slot comes up, so "acc > fail" is the guard c0+c1 > 2*d1 (dually for the
-vouching class); from the next round on the comparison is c0 > c1 /
-c1 > c0.  The d-guards (d < c before a rollover, d = c at it) pin each
-class's per-round slot budget; dropping them (``strengthened=False``) and
-weakening the gate to >= (``weak_gate=True``) are deliberate mutations used
-to show the checked properties actually depend on these details.
+After the fault each class z (0 = rejecters, 1 = vouchers; o = the other)
+has the same two rules.  Mid-round (cp < n, d_z < c_z) the slot's owner
+sends if its clique gate passes and fails otherwise.  The gate shows up as
+guard arithmetic: in the fault round a rejecter has acc = c0+c1-d1 and
+fail = d1 when its slot comes up, so "acc > fail" is c0+c1 > 2*d_o (dually
+for a voucher); from the next round on it is c_z > c_o.  At the rollover
+(cp = n, d_z = c_z) the gate is c_z > c_o.  Only the vouchers add details:
+the refined later-round guard (``literal_guard=True`` drops it) and the
+g-exit at the rollover.  The d-guards pin each class's per-round slot
+budget; dropping them (``strengthened=False``) and weakening the gate to >=
+(``weak_gate=True``) are deliberate mutations used to show the checked
+properties actually depend on these details.
 """
 
 from __future__ import annotations
@@ -96,19 +100,9 @@ def abstract_successors(
     strengthened: bool = True,
     literal_guard: bool = False,
 ) -> List[AbstractTransition]:
-    """All slot-steps enabled at ``s`` under the given inputs."""
-
-    def gate(acc_like: int, fail_like: int) -> bool:
-        return acc_like >= fail_like if weak_gate else acc_like > fail_like
-
-    def budget(d: int, c: int) -> bool:
-        # d-strengthening: only c-d members of a class still have a slot
-        # left this round.  The mutant drops the constraint.
-        return d < c if strengthened else True
-
-    def exhausted(d: int, c: int) -> bool:
-        return d == c if strengthened else True
-
+    """All slot-steps enabled at ``s`` under the given inputs: at most one
+    for each class that owns stations, rejecters first, then vouchers, then
+    failed stations."""
     base = {**s.__dict__, "tg": s.tg % s.n + 1}
     out: List[AbstractTransition] = []
 
@@ -129,64 +123,46 @@ def abstract_successors(
     mid = s.cp < s.n
     roll = s.cp == s.n
 
-    # -- rejecter-class slots ----------------------------------------------
-    if s.c0 > 0:
-        if mid and budget(s.d0, s.c0) and s.r == 0 and gate(s.c0 + s.c1, 2 * s.d1):
-            add("r0_send_fault_round", True, cp=s.cp + 1, d0=s.d0 + 1)
-        if mid and budget(s.d0, s.c0) and s.r == 0 and not gate(s.c0 + s.c1, 2 * s.d1):
-            add("r0_fail_fault_round", False,
-                cp=s.cp + 1, c0=s.c0 - 1, cf=s.cf + 1, df=s.df + 1)
-        if mid and budget(s.d0, s.c0) and s.r > 0 and gate(s.c0, s.c1):
-            add("r0_send_later_round", True, cp=s.cp + 1, d0=s.d0 + 1)
-        if mid and budget(s.d0, s.c0) and s.r > 0 and not gate(s.c0, s.c1):
-            add("r0_fail_later_round", False,
-                cp=s.cp + 1, c0=s.c0 - 1, cf=s.cf + 1, df=s.df + 1)
-        if roll and exhausted(s.d0, s.c0) and gate(s.c0, s.c1):
-            add("r0_send_rollover", True,
-                cp=1, r=s.r + 1, d0=1, d1=0, df=0)
-        if roll and exhausted(s.d0, s.c0) and not gate(s.c0, s.c1):
-            add("r0_fail_rollover", False,
-                cp=1, r=s.r + 1, c0=s.c0 - 1, cf=s.cf + 1, d0=0, d1=0, df=1)
-
-    # -- voucher-class slots -------------------------------------------------
-    if s.c1 > 0:
-        if mid and budget(s.d1, s.c1) and s.r == 0 and gate(s.c0 + s.c1, 2 * s.d0):
-            add("r1_send_fault_round", True, cp=s.cp + 1, d1=s.d1 + 1)
-        if mid and budget(s.d1, s.c1) and s.r == 0 and not gate(s.c0 + s.c1, 2 * s.d0):
-            add("r1_fail_fault_round", False,
-                cp=s.cp + 1, c1=s.c1 - 1, cf=s.cf + 1, df=s.df + 1)
-        if mid and budget(s.d1, s.c1) and s.r > 0 and gate(s.c1, s.c0):
+    # -- rejecter-class, then voucher-class slots: the same two rules ---------
+    for z, o in ("0", "1"), ("1", "0"):
+        c, d, c_other = base["c" + z], base["d" + z], base["c" + o]
+        if c == 0:
+            continue
+        # d-strengthening: only c-d members of a class still have a slot
+        # left this round.  The mutant drops the constraint.
+        if mid and (d < c or not strengthened):
+            if s.r == 0:
+                phase, acc, fail = "fault_round", s.c0 + s.c1, 2 * base["d" + o]
+            else:
+                phase, acc, fail = "later_round", c, c_other
+            if not (acc > fail or (weak_gate and acc == fail)):
+                add(f"r{z}_fail_{phase}", False,
+                    cp=s.cp + 1, cf=s.cf + 1, df=s.df + 1, **{"c" + z: c - 1})
             # After a silent departure of the faulty sender at the rollover,
             # the first two slots of the new round belong to the stations
             # that rejected it back then; they cannot be voucher sends.
-            if literal_guard or not (s.r == 1 and s.g_exit and s.cp in (1, 2)):
-                add("r1_send_later_round", True, cp=s.cp + 1, d1=s.d1 + 1)
-        if mid and budget(s.d1, s.c1) and s.r > 0 and not gate(s.c1, s.c0):
-            add("r1_fail_later_round", False,
-                cp=s.cp + 1, c1=s.c1 - 1, cf=s.cf + 1, df=s.df + 1)
-        if roll and exhausted(s.d1, s.c1) and gate(s.c1, s.c0):
-            if not (s.r == 0 and inp.g):
-                add("r1_send_rollover", True,
-                    cp=1, r=s.r + 1, d1=1, d0=0, df=0)
+            elif literal_guard or not (z == "1" and s.r == 1 and s.g_exit and s.cp in (1, 2)):
+                add(f"r{z}_send_{phase}", True, cp=s.cp + 1, **{"d" + z: d + 1})
+        elif roll and (d == c or not strengthened):
+            # At the faulty sender's own slot, with g both successor checks
+            # convicted it during the round: it leaves without sending.  The
+            # slot is silent either way, and the flag marks that the two
+            # convicting stations own the next two slots.
+            g_exit = z == "1" and s.r == 0 and inp.g
+            passes = c > c_other or (weak_gate and c == c_other)
+            if passes and not g_exit:
+                add(f"r{z}_send_rollover", True,
+                    cp=1, r=s.r + 1, df=0, **{"d" + z: 1, "d" + o: 0})
             else:
-                # The faulty sender's own slot, but both successor checks
-                # convicted it during the round: it leaves without sending.
-                add("r1_guess_exit_rollover", False,
-                    cp=1, r=s.r + 1, c1=s.c1 - 1, cf=s.cf + 1,
-                    d1=0, d0=0, df=1, g_exit=True)
-        if roll and exhausted(s.d1, s.c1) and not gate(s.c1, s.c0):
-            # With g the sender was already convicted by its successors; the
-            # slot is silent either way, but the flag still marks that the
-            # two convicting stations own the next two slots.
-            add("r1_fail_rollover", False,
-                cp=1, r=s.r + 1, c1=s.c1 - 1, cf=s.cf + 1, d1=0, d0=0, df=1,
-                g_exit=s.g_exit or (s.r == 0 and inp.g))
+                add("r1_guess_exit_rollover" if passes else f"r{z}_fail_rollover",
+                    False, cp=1, r=s.r + 1, cf=s.cf + 1, d0=0, d1=0, df=1,
+                    g_exit=s.g_exit or g_exit, **{"c" + z: c - 1})
 
     # -- slots of failed stations --------------------------------------------
     if s.cf > 0:
-        if mid and budget(s.df, s.cf):
+        if mid and (s.df < s.cf or not strengthened):
             add("idle_slot", False, cp=s.cp + 1, df=s.df + 1)
-        if roll and exhausted(s.df, s.cf):
+        if roll and (s.df == s.cf or not strengthened):
             add("idle_rollover", False, cp=1, r=s.r + 1, df=1, d0=0, d1=0)
 
     return out

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .abstraction import (
     AbstractInputs,
@@ -51,16 +51,13 @@ from .protocol import SoundnessError, clique_gate
 from .ring import (
     Convergence,
     FaultSpec,
+    ResourceCap,
     Ring,
     Scenario,
     convergence,
     partition_classes,
     scenario_text,
 )
-
-
-class ResourceCap(RuntimeError):
-    """A sweep hit its configured run budget before finishing."""
 
 
 # Chains a k >= 3 sweep runs when no run budget is given.
@@ -100,9 +97,8 @@ class StateGraph:
     def path(self, i: int) -> Tuple[str, ...]:
         names: List[str] = []
         while self.parent[i] is not None:
-            j, name = self.parent[i]
+            i, name = self.parent[i]
             names.append(name)
-            i = j
         return tuple(reversed(names))
 
 
@@ -182,47 +178,44 @@ class PropertyVerdict:
         return line
 
 
-def _fault_round_end(g: StateGraph) -> List[int]:
-    return [
-        i for i, s in enumerate(g.states)
-        if s.fault_seen and s.r == 0 and s.cp == s.n
-    ]
+def _scan(prop: str, g: StateGraph, where: Callable[[AbstractState], bool],
+          broken: Callable[[AbstractState], object]) -> PropertyVerdict:
+    """``prop`` fails at the first state, in index order, that ``where``
+    selects and ``broken`` finds at fault (it returns the detail, or a false
+    value), with that state's breadth-first path as the witness."""
+    for i, s in enumerate(g.states):
+        detail = where(s) and broken(s)
+        if detail:
+            return PropertyVerdict(prop, g.n, f"x={g.x}", False, g.path(i), detail)
+    return PropertyVerdict(prop, g.n, f"x={g.x}", True)
+
+
+def _fault_round_end(s: AbstractState) -> bool:
+    return s.fault_seen and s.r == 0 and s.cp == s.n
+
+
+def _decided_tie(g: StateGraph, s: AbstractState) -> bool:
+    return s.fault_seen and s.d1 == g.x and s.d0 < g.x
 
 
 def check_P1(g: StateGraph) -> PropertyVerdict:
     """End of the fault round: the class sizes differ (no standing tie)."""
-    for i in _fault_round_end(g):
-        s = g.states[i]
-        if s.c1 == s.c0:
-            return PropertyVerdict("P1", g.n, f"x={g.x}", False, g.path(i),
-                                   f"c1=c0={s.c1} at round end")
-    return PropertyVerdict("P1", g.n, f"x={g.x}", True)
+    return _scan("P1", g, _fault_round_end,
+                 lambda s: s.c1 == s.c0 and f"c1=c0={s.c1} at round end")
 
 
 def check_P2(g: StateGraph) -> PropertyVerdict:
     """Voucher majority: every voucher survives the fault round."""
-    for i in _fault_round_end(g):
-        s = g.states[i]
-        if s.c1 != g.x:
-            return PropertyVerdict("P2", g.n, f"x={g.x}", False, g.path(i),
-                                   f"c1={s.c1} != x={g.x} at round end")
-    return PropertyVerdict("P2", g.n, f"x={g.x}", True)
-
-
-def _decided_tie_states(g: StateGraph) -> List[int]:
-    return [
-        i for i, s in enumerate(g.states)
-        if s.fault_seen and s.d1 == g.x and s.d0 < g.x
-    ]
+    return _scan("P2", g, _fault_round_end,
+                 lambda s: s.c1 != g.x and f"c1={s.c1} != x={g.x} at round end")
 
 
 def check_P3(g: StateGraph) -> PropertyVerdict:
     """From any state where all x vouchers have sent this round and fewer
     rejecters have, the voucher class never shrinks again."""
-    start = _decided_tie_states(g)
+    frontier = [i for i, s in enumerate(g.states) if _decided_tie(g, s)]
     local_parent: Dict[int, Tuple[int, str]] = {}
-    frontier = list(start)
-    seen = set(start)
+    seen = set(frontier)
     while frontier:
         nxt: List[int] = []
         for i in frontier:
@@ -231,7 +224,7 @@ def check_P3(g: StateGraph) -> PropertyVerdict:
                 names: List[str] = []
                 j = i
                 while j in local_parent:
-                    j, name = local_parent[j][0], local_parent[j][1]
+                    j, name = local_parent[j]
                     names.append(name)
                 witness = g.path(j) + tuple(reversed(names))
                 return PropertyVerdict("P3", g.n, f"x={g.x}", False, witness,
@@ -247,32 +240,22 @@ def check_P3(g: StateGraph) -> PropertyVerdict:
 
 def check_P4(g: StateGraph) -> PropertyVerdict:
     """At those decision states a rejecter's fault-round gate cannot pass."""
-    for i in _decided_tie_states(g):
-        s = g.states[i]
-        if s.c1 + s.c0 - 2 * s.d1 > 0:
-            return PropertyVerdict("P4", g.n, f"x={g.x}", False, g.path(i),
-                                   f"rejecter gate margin {s.c1 + s.c0 - 2 * s.d1}")
-    return PropertyVerdict("P4", g.n, f"x={g.x}", True)
+    return _scan("P4", g, lambda s: _decided_tie(g, s),
+                 lambda s: s.c1 + s.c0 - 2 * s.d1 > 0
+                 and f"rejecter gate margin {s.c1 + s.c0 - 2 * s.d1}")
 
 
 def check_P6(g: StateGraph) -> PropertyVerdict:
     """At every later round boundary at least one class is extinct."""
-    for i, s in enumerate(g.states):
-        if s.fault_seen and s.r >= 1 and s.cp == s.n:
-            if s.c1 > 0 and s.c0 > 0:
-                return PropertyVerdict("P6", g.n, f"x={g.x}", False, g.path(i),
-                                       f"c1={s.c1}, c0={s.c0} at boundary")
-    return PropertyVerdict("P6", g.n, f"x={g.x}", True)
+    return _scan("P6", g, lambda s: s.fault_seen and s.r >= 1 and s.cp == s.n,
+                 lambda s: s.c1 > 0 and s.c0 > 0 and f"c1={s.c1}, c0={s.c0} at boundary")
 
 
 def check_P7(g: StateGraph) -> PropertyVerdict:
     """Two full rounds after the fault, exactly one class remains, forever."""
-    for i, s in enumerate(g.states):
-        if s.fault_seen and s.r >= 2:
-            if s.c1 > 0 and s.c0 > 0:
-                return PropertyVerdict("P7", g.n, f"x={g.x}", False, g.path(i),
-                                       f"c1={s.c1}, c0={s.c0} after two rounds")
-    return PropertyVerdict("P7", g.n, f"x={g.x}", True)
+    return _scan("P7", g, lambda s: s.fault_seen and s.r >= 2,
+                 lambda s: s.c1 > 0 and s.c0 > 0
+                 and f"c1={s.c1}, c0={s.c0} after two rounds")
 
 
 def _merge(prop: str, n: int, constraint: str,
@@ -313,8 +296,7 @@ def check_properties(
                    literal_guard=literal_guard, max_states=max_states)
         for x in xs
     }
-    majority = [x for x in xs if x > n - x]
-    tie = [x for x in xs if x == n - x]
+    majority, tie = ([x for x in x_values(n, c) if x in graphs] for c in ("majority", "tie"))
     return [
         _merge("P1", n, constraint, [check_P1(graphs[x]) for x in xs]),
         _merge("P2", n, constraint, [check_P2(graphs[x]) for x in majority]),

@@ -29,12 +29,12 @@ from typing import List, Optional, Sequence
 from .checker import (
     SAMPLE_CHAINS,
     PropertyVerdict,
-    ResourceCap,
     check_properties,
     cross_check,
 )
 from .kfault import CounterTree, expected_counter_count, tree_gate_checks
 from .ring import (
+    ResourceCap,
     Ring,
     Scenario,
     ScenarioError,

@@ -8,10 +8,14 @@ the slot outcomes of the current round) before running the map.
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from itertools import product
+from typing import List
 
 from ttpmem.abstraction import (
     AbstractInputs,
     AbstractState,
+    AbstractTransition,
+    _state,
     abstract_init,
     abstract_inputs_for_slot,
     abstract_successors,
@@ -230,3 +234,127 @@ def test_states_built_in_place_are_whole_and_hash_like_constructed_ones():
         assert set(vars(s)) == names, s
         built = AbstractState(**vars(s))
         assert s == built and hash(s) == hash(built), s
+
+
+# The automaton as first written: one branch per transition, each testing its
+# full guard, kept as the reference that the mirrored rules must reproduce.
+def reference_successors(
+    s: AbstractState,
+    inp: AbstractInputs,
+    *,
+    weak_gate: bool = False,
+    strengthened: bool = True,
+    literal_guard: bool = False,
+) -> List[AbstractTransition]:
+    """All slot-steps enabled at ``s`` under the given inputs."""
+
+    def gate(acc_like: int, fail_like: int) -> bool:
+        return acc_like >= fail_like if weak_gate else acc_like > fail_like
+
+    def budget(d: int, c: int) -> bool:
+        # d-strengthening: only c-d members of a class still have a slot
+        # left this round.  The mutant drops the constraint.
+        return d < c if strengthened else True
+
+    def exhausted(d: int, c: int) -> bool:
+        return d == c if strengthened else True
+
+    base = {**s.__dict__, "tg": s.tg % s.n + 1}
+    out: List[AbstractTransition] = []
+
+    def add(name: str, emits: bool, **changes) -> None:
+        out.append(AbstractTransition(name, emits, _state({**base, **changes})))
+
+    # -- before the fault ---------------------------------------------------
+    if s.c_in > 0:
+        if inp.fault:
+            if not 1 <= inp.x <= s.n:
+                raise ValueError(f"fault input needs 1 <= x <= n, got x={inp.x}")
+            add("fault", True,
+                sg=s.tg, c_in=0, c1=inp.x, c0=s.n - inp.x, fault_seen=True)
+        else:
+            add("tick", True)
+        return out
+
+    mid = s.cp < s.n
+    roll = s.cp == s.n
+
+    # -- rejecter-class slots ----------------------------------------------
+    if s.c0 > 0:
+        if mid and budget(s.d0, s.c0) and s.r == 0 and gate(s.c0 + s.c1, 2 * s.d1):
+            add("r0_send_fault_round", True, cp=s.cp + 1, d0=s.d0 + 1)
+        if mid and budget(s.d0, s.c0) and s.r == 0 and not gate(s.c0 + s.c1, 2 * s.d1):
+            add("r0_fail_fault_round", False,
+                cp=s.cp + 1, c0=s.c0 - 1, cf=s.cf + 1, df=s.df + 1)
+        if mid and budget(s.d0, s.c0) and s.r > 0 and gate(s.c0, s.c1):
+            add("r0_send_later_round", True, cp=s.cp + 1, d0=s.d0 + 1)
+        if mid and budget(s.d0, s.c0) and s.r > 0 and not gate(s.c0, s.c1):
+            add("r0_fail_later_round", False,
+                cp=s.cp + 1, c0=s.c0 - 1, cf=s.cf + 1, df=s.df + 1)
+        if roll and exhausted(s.d0, s.c0) and gate(s.c0, s.c1):
+            add("r0_send_rollover", True,
+                cp=1, r=s.r + 1, d0=1, d1=0, df=0)
+        if roll and exhausted(s.d0, s.c0) and not gate(s.c0, s.c1):
+            add("r0_fail_rollover", False,
+                cp=1, r=s.r + 1, c0=s.c0 - 1, cf=s.cf + 1, d0=0, d1=0, df=1)
+
+    # -- voucher-class slots -------------------------------------------------
+    if s.c1 > 0:
+        if mid and budget(s.d1, s.c1) and s.r == 0 and gate(s.c0 + s.c1, 2 * s.d0):
+            add("r1_send_fault_round", True, cp=s.cp + 1, d1=s.d1 + 1)
+        if mid and budget(s.d1, s.c1) and s.r == 0 and not gate(s.c0 + s.c1, 2 * s.d0):
+            add("r1_fail_fault_round", False,
+                cp=s.cp + 1, c1=s.c1 - 1, cf=s.cf + 1, df=s.df + 1)
+        if mid and budget(s.d1, s.c1) and s.r > 0 and gate(s.c1, s.c0):
+            # After a silent departure of the faulty sender at the rollover,
+            # the first two slots of the new round belong to the stations
+            # that rejected it back then; they cannot be voucher sends.
+            if literal_guard or not (s.r == 1 and s.g_exit and s.cp in (1, 2)):
+                add("r1_send_later_round", True, cp=s.cp + 1, d1=s.d1 + 1)
+        if mid and budget(s.d1, s.c1) and s.r > 0 and not gate(s.c1, s.c0):
+            add("r1_fail_later_round", False,
+                cp=s.cp + 1, c1=s.c1 - 1, cf=s.cf + 1, df=s.df + 1)
+        if roll and exhausted(s.d1, s.c1) and gate(s.c1, s.c0):
+            if not (s.r == 0 and inp.g):
+                add("r1_send_rollover", True,
+                    cp=1, r=s.r + 1, d1=1, d0=0, df=0)
+            else:
+                # The faulty sender's own slot, but both successor checks
+                # convicted it during the round: it leaves without sending.
+                add("r1_guess_exit_rollover", False,
+                    cp=1, r=s.r + 1, c1=s.c1 - 1, cf=s.cf + 1,
+                    d1=0, d0=0, df=1, g_exit=True)
+        if roll and exhausted(s.d1, s.c1) and not gate(s.c1, s.c0):
+            # With g the sender was already convicted by its successors; the
+            # slot is silent either way, but the flag still marks that the
+            # two convicting stations own the next two slots.
+            add("r1_fail_rollover", False,
+                cp=1, r=s.r + 1, c1=s.c1 - 1, cf=s.cf + 1, d1=0, d0=0, df=1,
+                g_exit=s.g_exit or (s.r == 0 and inp.g))
+
+    # -- slots of failed stations --------------------------------------------
+    if s.cf > 0:
+        if mid and budget(s.df, s.cf):
+            add("idle_slot", False, cp=s.cp + 1, df=s.df + 1)
+        if roll and exhausted(s.df, s.cf):
+            add("idle_rollover", False, cp=1, r=s.r + 1, df=1, d0=0, d1=0)
+
+    return out
+
+
+def test_successors_match_the_reference_rules_exhaustively():
+    # Names, emits, posts and their order: explore's breadth-first witnesses
+    # follow the order.  Every reachable state of every variant, also with
+    # r three rounds on (the graphs keep r only as 0 / 1 / >=2).
+    calls = 0
+    for n, flags in product(range(3, 7), product((False, True), repeat=3)):
+        flags = dict(zip(("weak_gate", "strengthened", "literal_guard"), flags))
+        for x in range(1, n + 1):
+            for s in explore(n, x, **flags).states:
+                inputs = ((AbstractInputs(fault=True, x=x),) if s.c_in else
+                          (AbstractInputs(g=False), AbstractInputs(g=True)))
+                for state, inp in product((s, replace(s, r=s.r + 3)), inputs):
+                    assert abstract_successors(state, inp, **flags) == \
+                        reference_successors(state, inp, **flags), (state, inp, flags)
+                    calls += 1
+    assert calls > 100_000

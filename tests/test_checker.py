@@ -30,7 +30,6 @@ from ttpmem.abstraction import (
 )
 from ttpmem.checker import (
     PropertyVerdict,
-    ResourceCap,
     check_P1,
     check_P2,
     check_P3,
@@ -42,7 +41,14 @@ from ttpmem.checker import (
 )
 from ttpmem.kfault import CounterTree
 from ttpmem.protocol import StationState
-from ttpmem.ring import FaultSpec, Ring, Scenario, convergence, partition_classes
+from ttpmem.ring import (
+    FaultSpec,
+    ResourceCap,
+    Ring,
+    Scenario,
+    convergence,
+    partition_classes,
+)
 
 
 def test_exploration_reaches_the_settled_ring():

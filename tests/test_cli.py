@@ -7,9 +7,14 @@ presentation on top of those values.
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from ttpmem.cli import main
+from ttpmem.ring import HORIZON_BUDGET, ResourceCap, Scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -136,6 +141,20 @@ def test_invalid_scenarios_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_horizon_over_the_budget_exits_three_before_any_slot_runs(tmp_path, capsys):
+    # 1.6e9 station-slots: hours of running, were it not refused up front.
+    scn = tmp_path / "long.scn"
+    scn.write_text("n = 4\nrounds = 100000000\nfault slot=0 accept=2\n")
+    for verb in ("simulate", "partition", "kfault-oracle"):
+        code, out, err = run(capsys, verb, "--scenario", str(scn))
+        assert code == 3 and out == "", verb
+        assert err == ("resource cap: line 2: rounds = 100000000 gives 4 x 4 x "
+                       "100000000 station-slots, over the budget of 1000000\n")
+    Scenario(4, HORIZON_BUDGET // 16).validate()  # the budget itself is allowed
+    with pytest.raises(ResourceCap):
+        Scenario(4, HORIZON_BUDGET // 16 + 1).validate()
+
+
 def test_partition_reports_rounds_and_converges(capsys):
     code, out, _ = run(capsys, "partition",
                        "--scenario", str(FIXTURES / "single_fault.scn"))
@@ -186,6 +205,40 @@ def test_check_mutant_fails_with_a_witness(capsys):
     code, out, _ = run(capsys, "check", "--n", "4..4", "--mutant", "gate-weak")
     assert code == 1
     assert "P1 n=4" in out and "FAILS" in out
+
+
+# The runs whose transcript check_golden.txt holds: every property over
+# n=3..8 for the checked automaton, each deliberate variant, and each scope.
+# The file was rendered with check_transcript() from the twelve-branch
+# automaton that tests/test_abstraction.py keeps as its reference.
+CHECK_GOLDEN_RUNS = (
+    (),
+    ("--mutant", "gate-weak"),
+    ("--mutant", "no-strengthen"),
+    ("--literal-guard",),
+    ("--constraint", "tie"),
+    ("--constraint", "majority"),
+)
+
+
+def check_transcript() -> str:
+    """Each golden ``check`` run's command, stdout and exit code."""
+    parts = []
+    for extra in CHECK_GOLDEN_RUNS:
+        argv = ["check", "--n", "3..8", *extra]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        parts.append(f"$ {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
+    return "".join(parts)
+
+
+def test_check_output_matches_the_golden_transcript(capsys):
+    # Verdicts, details and witness paths, byte for byte: a witness is the
+    # first violating state in breadth-first order, so it pins the order of
+    # the successors as well as their guards.
+    assert check_transcript() == (FIXTURES / "check_golden.txt").read_text()
+    assert capsys.readouterr().err == ""
 
 
 def test_check_range_errors_exit_two(capsys):

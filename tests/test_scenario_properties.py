@@ -1,4 +1,5 @@
-"""Property tests of the scenario parser and of the lines its errors carry.
+"""Property tests of the scenario parser and of the lines its errors carry,
+and of the ring's convergence on random fault chains.
 
 Hypothesis runs derandomized and without an example database, so every run
 of the suite draws the same examples.  The lines of a refused scenario are
@@ -14,16 +15,17 @@ from typing import Callable, List, Optional, Tuple
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ttpmem.protocol import Location
+from ttpmem.protocol import Location, clique_gate
 from ttpmem.ring import (
     FaultSpec,
     IntegrationSpec,
     Ring,
     Scenario,
     ScenarioError,
+    convergence,
     parse_scenario,
     scenario_text,
 )
@@ -260,3 +262,26 @@ def test_each_refusal_names_the_line_of_its_directive(data):
     in_code = _refusal(lambda: _built(directives))
     assert kind in in_code and not in_code.startswith("line ")
     assert _refusal(lambda: parse_scenario(text)) == f"line {lines[bad]}: {in_code}"
+
+
+@settings(deterministic, max_examples=200)
+@given(st.data())
+def test_random_fault_chains_converge_two_rounds_after_the_last(data):
+    # Admissible chains as the sweeps enumerate them: the first fault in the
+    # first round, each later one at most a round after its predecessor, on
+    # a slot whose owner sends, accepted by a subset of the stations still
+    # listening.  The sweeps are exhaustive only up to k=2.  The third fault
+    # strikes by slot 3n-1, so six rounds hold two more after it.
+    n = data.draw(st.integers(3, 8), label="n")
+    ring = Ring(Scenario(n, 6), record=False)
+    first = 0
+    for _ in range(data.draw(st.integers(1, 3), label="k")):
+        slot = data.draw(st.integers(first, first + n - 1), label="slot")
+        owner = ring.run_until(slot).stations[slot % n]
+        assume(owner.location.is_active and clique_gate(owner))
+        accept = frozenset(data.draw(st.sets(st.sampled_from(ring.active_ids())),
+                                     label="accept") - {owner.sid})
+        ring = ring.fork(FaultSpec(slot, accept))
+        first = slot + 1
+    judged = convergence(ring.run_until(slot + 2 * n))
+    assert judged.converged and not judged.degenerate, ring.scenario
