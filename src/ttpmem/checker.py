@@ -23,10 +23,13 @@ The chains come from one depth-first walk: a prefix that several chains
 share runs once, and at every fault point the ring and a counter tree fed
 event by event are forked, so the tree's predictions and the simulation
 check are made once per shared slot and no run is replayed from slot 0.
-The tails are shared too, for k >= 2: siblings (one fork, the last fault
-at the same slot, different accept sets) that reach identical rings and
-trees right after that slot have one judged tail between them.  A single
-fault's tail reads the run's whole history, so it is never shared.
+The tails are shared too.  In the last fault's slot each receiver's step
+reads only its own state and whether the frame reaches it clean; the
+decisive receivers are those that a clean and a corrupted frame leave
+apart (``Ring.decisive_receivers``).  Siblings whose accept sets agree on
+them reach the same ring and tree, so only the first of them is forked and
+judged, and the others take its outcome.  On the fault-free ring every
+receiver is decisive, so single-fault chains never share.
 """
 
 from __future__ import annotations
@@ -366,21 +369,34 @@ class _Path:
             self.pre = post
 
 
-def _chains(root: _Path, k: int) -> Iterator[_Path]:
+# A chain's judged (convergence, mismatches), put in by the sweep for the
+# first chain of a group and read by the group's later chains (see _chains).
+Outcome = List[Tuple[Convergence, Mismatches]]
+
+
+def _chains(root: _Path, k: int) -> Iterator[Tuple[Scenario, Optional[_Path], Outcome]]:
     """Every admissible chain of k faults, depth first from the fault-free
     ``root`` at slot 0: the first fault strikes a slot of the first round,
     each later one a slot at most one round after its predecessor whose
     owner actually sends, and each accept set ranges over the receivers
     still listening there.  A path is advanced to each candidate slot and
     forked there with every fault it admits, so each slot before a fault
-    runs once however many chains share it.  Yields each chain's path,
-    forked at its last fault (that slot not yet run), in enumeration order.
-    For k=1 the pre-fault regime is rotationally stationary, so placing the
-    fault in the first round is exhaustive."""
+    runs once however many chains share it.  For k=1 the pre-fault regime
+    is rotationally stationary, so placing the fault in the first round is
+    exhaustive.
+
+    Yields each chain, in enumeration order, as its scenario, its path
+    forked at its last fault (that slot not yet run) and its outcome.  At
+    the last fault, accept sets that agree on the slot's decisive receivers
+    (``Ring.decisive_receivers``) step to the same ring and event, so on to
+    the same counter tree: only the first of each such group is forked, and
+    the group's later chains come with no path and the first one's outcome
+    list, which the sweep has filled by then."""
     n = root.ring.n
 
-    def extend(path: _Path) -> Iterator[_Path]:
+    def extend(path: _Path) -> Iterator[Tuple[Scenario, Optional[_Path], Outcome]]:
         faults = path.ring.scenario.faults
+        last = len(faults) + 1 == k
         first = faults[-1].slot + 1 if faults else 0
         for slot in range(first, first + n):
             while path.ring.slot < slot:
@@ -390,35 +406,23 @@ def _chains(root: _Path, k: int) -> Iterator[_Path]:
             if not (owner.location.is_active and clique_gate(owner, weak=ring.weak_gate)):
                 continue  # silent slot: nothing to corrupt
             receivers = [sid for sid in ring.active_ids() if sid != owner.sid]
+            decisive = ring.decisive_receivers() if last else None
+            outcomes: Dict[frozenset, Outcome] = {}  # by the decisive receivers accepted
             for r in range(len(receivers) + 1):
                 for accept in combinations(receivers, r):
-                    child = path.fork(FaultSpec(slot, frozenset(accept)))
-                    if len(faults) + 1 == k:
-                        yield child
+                    fault = FaultSpec(slot, frozenset(accept))
+                    if not last:
+                        yield from extend(path.fork(fault))
+                        continue
+                    group = fault.accept & decisive
+                    outcome = outcomes.get(group)
+                    if outcome is None:
+                        child = path.fork(fault)
+                        yield child.ring.scenario, child, outcomes.setdefault(group, [])
                     else:
-                        yield from extend(child)
+                        yield ring.scenario.with_fault(fault), None, outcome
 
     return extend(root)
-
-
-Tails = Dict[tuple, Tuple[Convergence, Mismatches]]
-
-
-def _tail(path: _Path, end: int, tails: Tails) -> Tuple[Convergence, Mismatches, bool]:
-    """Run a chain's last fault slot, then its tail to ``end``; return its
-    convergence there, its path's mismatches, and whether the two came from
-    ``tails``: the outcomes of this fork's earlier chains, by their state
-    right after the fault slot (the ring, and the counter tree or its
-    absence).  A chain that reaches a new state runs on and adds its own."""
-    path.advance()
-    key = (path.ring.state_key(), None if path.tree is None else path.tree.state_key())
-    outcome = tails.get(key)
-    if outcome is not None:
-        return outcome + (True,)
-    while path.ring.slot < end:
-        path.advance()
-    outcome = tails[key] = (convergence(path.ring), path.bad)
-    return outcome + (False,)
 
 
 def _root(n: int, k: int, gate: str) -> Ring:
@@ -429,8 +433,8 @@ def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
     """Every admissible placement of k faults on a ring with the strict
     clique gate, in the sweep's order: the scenarios of ``_chains``, whose
     walk runs each prefix once and forks the ring at every fault."""
-    for path in _chains(_Path(_root(n, k, "strict")), k):
-        yield path.ring.scenario
+    for sc, _path, _outcome in _chains(_Path(_root(n, k, "strict")), k):
+        yield sc
 
 
 def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
@@ -444,26 +448,24 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     raises; beyond, the first ``max_runs`` (default ``SAMPLE_CHAINS``)
     chains are run.
 
-    For k >= 2, siblings (chains of one fork: the same earlier faults and
-    the same last fault slot, in a row in the walk) whose accept sets
-    differ only in receivers that reject the frame anyway reach the same
-    ring and counter tree right after that slot.  The first of them runs
-    the 2n-1 slots of the tail; the others take its verdict and mismatches
-    (see ``_tail``), which are exact, as siblings share the prefix and the
-    fault slot's gate check.  Every chain is still counted and gets its own
-    witness.  A single fault's tail is not shared: it reads the whole
-    history (the counting oracle, the abstraction's inputs), and no two
-    single-fault siblings reach the same state anyway."""
+    Siblings (chains of one fork: the same earlier faults and the same last
+    fault slot, in a row in the walk) whose accept sets agree on that
+    slot's decisive receivers reach the same ring and counter tree right
+    after it (see ``_chains``).  The first of them is forked and runs the
+    fault slot and the 2n-1 slots of the tail; the others take its verdict
+    and mismatches, which are exact, as siblings also share the prefix and
+    the fault slot's gate check.  Every chain is still counted and gets its
+    own witness.  On the fault-free ring every receiver is decisive, so a
+    single fault's tail, which reads the whole history (the counting
+    oracle, the abstraction's inputs), is never shared."""
     exhaustive = k <= 2
     if not exhaustive and max_runs is None:
         max_runs = SAMPLE_CHAINS
     runs = degenerate = round1_splits = shared_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
-    tails: Tails = {}  # of the fork ``tails_of``: its siblings come in a row
-    tails_of = None
     ring = _root(n, k, gate)
     root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
-    for path in _chains(root, k):
+    for sc, path, outcome in _chains(root, k):
         if max_runs is not None and runs >= max_runs:
             if exhaustive:
                 raise ResourceCap(
@@ -472,32 +474,35 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
                 )
             break
         runs += 1
-        # Checks that have already failed need not watch this run's tail.
-        if "CA" in failed:
-            path.tree = None
-        if "SIM" in failed:
-            path.pre = None
-        ring = path.ring
-        sc = ring.scenario
-        last = sc.faults[-1].slot
-        if k == 1:
-            while ring.slot < sc.total_slots:
-                path.advance()
-                if ring.slot == last + n and len(partition_classes(ring)) > 1:
-                    round1_splits += 1
-                if ring.slot == last + 2 * n:
-                    judged = convergence(ring)
-            if "CA" not in failed:
-                c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
-                if c is not None:  # the closed form's mismatch goes ahead of the tree's
-                    path.bad["CA"] = (f"slot {c.slot} s{c.sid}",
-                                      f"predicted {c.predicted}, ring held {c.actual}")
-            bad = path.bad
+        if path is None:  # an earlier sibling's tail stands for this chain
+            judged, bad = outcome[0]
+            shared_tails += 1
         else:
-            if tails_of != (sc.faults[:-1], last):
-                tails, tails_of = {}, (sc.faults[:-1], last)
-            judged, bad, shared = _tail(path, last + 2 * n, tails)
-            shared_tails += shared
+            # Checks that have already failed need not watch this run's tail.
+            if "CA" in failed:
+                path.tree = None
+            if "SIM" in failed:
+                path.pre = None
+            ring = path.ring
+            last = sc.faults[-1].slot
+            if k == 1:
+                while ring.slot < sc.total_slots:
+                    path.advance()
+                    if ring.slot == last + n and len(partition_classes(ring)) > 1:
+                        round1_splits += 1
+                    if ring.slot == last + 2 * n:
+                        judged = convergence(ring)
+                if "CA" not in failed:
+                    c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
+                    if c is not None:  # the closed form's mismatch goes ahead of the tree's
+                        path.bad["CA"] = (f"slot {c.slot} s{c.sid}",
+                                          f"predicted {c.predicted}, ring held {c.actual}")
+            else:
+                while ring.slot < last + 2 * n:
+                    path.advance()
+                judged = convergence(ring)
+            bad = path.bad
+            outcome.append((judged, bad))
         degenerate += judged.degenerate  # vacuous clique, not success
         if not judged.converged and "NC" not in failed:
             failed["NC"] = (

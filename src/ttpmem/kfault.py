@@ -73,16 +73,6 @@ class CounterTree:
         clone.last_emission = dict(self.last_emission)
         return clone
 
-    def state_key(self) -> tuple:
-        """Every attribute, its containers frozen: two trees with equal keys
-        predict alike, and stay alike when fed the same events."""
-        return (self.n, tuple(self.fault_slots),
-                tuple(tuple((w, c, d) for w, (c, d) in level.items())
-                      for level in self.levels),
-                tuple(self.dsum), tuple(self.aux_a.items()), tuple(self.aux_f.items()),
-                tuple(self.label.items()), frozenset(self.active), tuple(self.departed),
-                tuple(self.last_emission.items()))
-
     # -- event intake --------------------------------------------------------
 
     def observe(self, ev: SlotEvent) -> None:

@@ -130,34 +130,9 @@ class Scenario:
                               f"{self.rounds} station-slots, over the budget of "
                               f"{HORIZON_BUDGET}", ("rounds", 0), ResourceCap)
         warnings: List[str] = []
-        for i, f in enumerate(self.faults):
-            directive = ("fault", i)
-            if not 0 <= f.slot < self.total_slots:
-                raise self.refuse(f"fault slot {f.slot} outside horizon "
-                                  f"[0,{self.total_slots})", directive)
-            if i:
-                prev = self.faults[i - 1].slot
-                if f.slot <= prev:
-                    raise self.refuse("fault slots must be strictly increasing", directive)
-                if f.slot - prev > self.n:
-                    warnings.append(
-                        f"gap of {f.slot - prev} slots between faults at {prev} and "
-                        f"{f.slot} exceeds one round; counting predictions are not "
-                        f"guaranteed there"
-                    )
-            owner = f.slot % self.n
-            for sid in f.accept:
-                if not 0 <= sid < self.n:
-                    raise self.refuse(f"fault accept id s{sid} out of range", directive)
-                if sid == owner:
-                    raise self.refuse(f"fault at slot {f.slot}: sender s{owner} cannot be "
-                                      "its own receiver", directive)
-        if self.faults and not self.judgeable(self.faults[-1].slot):
-            warnings.append(
-                f"horizon ends {self.total_slots} slots in; less than two full rounds after "
-                f"the last fault at slot {self.faults[-1].slot}, so stabilization cannot "
-                f"be judged"
-            )
+        for i in range(len(self.faults)):
+            warnings += self.check_fault(i)
+        warnings += self.horizon_warnings()
         for i, ev in enumerate(self.integrations):
             if not 0 <= ev.station < self.n:
                 raise self.refuse(f"integration station s{ev.station} out of range",
@@ -166,6 +141,52 @@ class Scenario:
                 raise self.refuse(f"integration slot {ev.slot} outside horizon",
                                   ("integrate", i))
         return warnings
+
+    def check_fault(self, i: int) -> List[str]:
+        """Static checks of fault ``i`` against the horizon, the fault before
+        it and the ring: raises ScenarioError on a hard violation; returns
+        the gap warning, if the fault lies more than a round after the one
+        before it."""
+        f = self.faults[i]
+        directive = ("fault", i)
+        if not 0 <= f.slot < self.total_slots:
+            raise self.refuse(f"fault slot {f.slot} outside horizon "
+                              f"[0,{self.total_slots})", directive)
+        warnings: List[str] = []
+        if i:
+            prev = self.faults[i - 1].slot
+            if f.slot <= prev:
+                raise self.refuse("fault slots must be strictly increasing", directive)
+            if f.slot - prev > self.n:
+                warnings.append(
+                    f"gap of {f.slot - prev} slots between faults at {prev} and "
+                    f"{f.slot} exceeds one round; counting predictions are not "
+                    f"guaranteed there"
+                )
+        owner = f.slot % self.n
+        for sid in f.accept:
+            if not 0 <= sid < self.n:
+                raise self.refuse(f"fault accept id s{sid} out of range", directive)
+            if sid == owner:
+                raise self.refuse(f"fault at slot {f.slot}: sender s{owner} cannot be "
+                                  "its own receiver", directive)
+        return warnings
+
+    def horizon_warnings(self) -> List[str]:
+        """The warning that the horizon ends too early to judge the last
+        fault, if it does."""
+        if self.faults and not self.judgeable(self.faults[-1].slot):
+            return [
+                f"horizon ends {self.total_slots} slots in; less than two full rounds after "
+                f"the last fault at slot {self.faults[-1].slot}, so stabilization cannot "
+                f"be judged"
+            ]
+        return []
+
+    def with_fault(self, fault: FaultSpec) -> "Scenario":
+        """This scenario with ``fault`` added after its faults, unchecked."""
+        return Scenario(self.n, self.rounds, self.faults + (fault,), self.integrations,
+                        self.lines)
 
 
 def _ids(value: str) -> frozenset:
@@ -267,6 +288,11 @@ StationsSnapshot = Tuple[Tuple[int, int, int, str], ...]  # (vector, acc, fail, 
 
 def _snapshot(stations: Sequence[StationState]) -> StationsSnapshot:
     return tuple((st.member, st.acc, st.fail, st.location._value_) for st in stations)
+
+
+def _copy(st: StationState) -> StationState:
+    return StationState(st.sid, st.n, st.member, st.acc, st.fail, st.location, st.check,
+                        st.first_succ, st.listen_from)
 
 
 @dataclass(frozen=True)
@@ -424,16 +450,28 @@ class Ring:
             self.records.append(_snapshot(stations))
         self.slot += 1
 
-    def state_key(self) -> tuple:
-        """What the next steps read that the steps so far have written:
-        every field of every station, the class labels, the last frame and
-        the slot.  Two rings of one scenario, or of scenarios that differ
-        only in faults already run, step on alike from equal keys."""
-        return (self.slot, self.last_frame, tuple(self.labels), tuple(
-            # The enums by value: their own hash is a Python-level call.
-            (st.sid, st.n, st.member, st.acc, st.fail, st.location._value_,
-             st.check._value_, st.first_succ, st.listen_from)
-            for st in self.stations))
+    def decisive_receivers(self) -> frozenset:
+        """The receivers whose step in this slot a fault can change: those
+        whose state after the frame, or whose ``ReceiveEvent``, differs
+        between a clean and a corrupted copy.  A receiver's step reads only
+        its own state and whether the frame reached it clean, so two faults
+        here whose accept sets agree on these receivers step to the same
+        stations, labels and ``SlotEvent``.  The slot must be one a fault
+        may strike, an active owner's that passes its gate, with no rejoin
+        starting in it.  Probed on copies: the ring is left as it was."""
+        owner = self.stations[self.slot % self.n]
+        if (self.slot in self._integrations or not owner.location.is_active
+                or not clique_gate(owner, weak=self.weak_gate)):
+            raise ValueError(f"slot {self.slot} is not an active owner's emission")
+        frame = begin_emission(_copy(owner))
+        decisive = []
+        for st in self.stations:
+            if st is not owner and st.location.is_receiving:
+                clean, corrupted = _copy(st), _copy(st)
+                if ((receive_step(clean, frame, True), clean)
+                        != (receive_step(corrupted, frame, False), corrupted)):
+                    decisive.append(st.sid)
+        return frozenset(decisive)
 
     def _adopt_label(self, st: StationState) -> None:
         for other in self.stations:
@@ -450,8 +488,11 @@ class Ring:
             raise ValueError(f"cannot fork at slot {self.slot} with a fault at "
                              f"slot {fault.slot}, which has already run")
         sc = self.scenario
-        scenario = Scenario(sc.n, sc.rounds, sc.faults + (fault,), sc.integrations, sc.lines)
-        warnings = scenario.validate()
+        scenario = sc.with_fault(fault)
+        # Only the added fault is new: the earlier faults' gap warnings
+        # stand, and the horizon is judged against the new last fault.
+        gaps = self.warnings[:len(self.warnings) - len(sc.horizon_warnings())]
+        warnings = gaps + scenario.check_fault(len(sc.faults)) + scenario.horizon_warnings()
         clone = Ring.__new__(Ring)
         # Containers a step changes are copied; the rest is immutable or
         # read-only, so it is shared.
@@ -459,9 +500,7 @@ class Ring:
             self.__dict__,
             scenario=scenario,
             warnings=warnings,
-            stations=[StationState(st.sid, st.n, st.member, st.acc, st.fail,
-                                   st.location, st.check, st.first_succ,
-                                   st.listen_from) for st in self.stations],
+            stations=[_copy(st) for st in self.stations],
             labels=list(self.labels),
             events=list(self.events),
             records=list(self.records),

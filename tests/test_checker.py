@@ -15,9 +15,8 @@ boundary-scoped properties survive.
 
 from __future__ import annotations
 
-from copy import copy
-from dataclasses import fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import astuple, replace
+from itertools import islice
 
 import pytest
 
@@ -40,7 +39,6 @@ from ttpmem.checker import (
     x_values,
 )
 from ttpmem.kfault import CounterTree
-from ttpmem.protocol import StationState
 from ttpmem.ring import (
     FaultSpec,
     ResourceCap,
@@ -257,89 +255,89 @@ def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypa
 
 
 def test_shared_tails_judge_as_their_full_runs(monkeypatch):
-    # A chain whose tail is taken from an earlier sibling is also run in
-    # full, from a copy made before its fault slot: the full run must end in
-    # the stored classes, clique verdict and active set, and meet the same
-    # first mismatches.  The k=3 sweep runs on past its first CA mismatch,
-    # so it also shares tails of chains whose counter tree was dropped.
-    real = checker._tail
-    reused = 0
+    # Every chain that takes an earlier sibling's outcome is also run in
+    # full, from a fresh ring on its own scenario with a fresh counter tree:
+    # the full run must end in the classes, clique verdict and active set it
+    # was given, and meet the same first mismatches.  The k=3 sweep runs on
+    # past its first CA mismatch, after which it feeds a chain's tree only
+    # up to its last fault; so does the full run of such a chain.
+    real = checker._chains
+    shared = []
 
-    def checked(path, end, tails):
-        nonlocal reused
-        # What a step changes is copied; the rest is immutable.
-        ring = copy(path.ring)
-        ring.stations = [copy(st) for st in ring.stations]
-        ring.labels, ring.events = list(ring.labels), list(ring.events)
-        twin = checker._Path(ring, path.tree and path.tree.fork(), None, dict(path.bad))
-        judged, bad, shared = real(path, end, tails)
-        if shared:
-            reused += 1
-            full, full_bad, _ = real(twin, end, {})
-            assert (full, full_bad) == (judged, bad), path.ring.scenario
-        return judged, bad, shared
+    def recording(root, k):
+        fed = {}  # id of a group's outcome list -> its tree watched the tail
+        for sc, path, outcome in real(root, k):
+            yield sc, path, outcome
+            if path is not None:  # the sweep has judged it by now
+                fed[id(outcome)] = path.tree is not None
+            else:
+                shared.append((sc, *outcome[0], fed[id(outcome)]))
 
-    monkeypatch.setattr(checker, "_tail", checked)
-    for ns, k, gate, max_runs, shared in (
+    monkeypatch.setattr(checker, "_chains", recording)
+    for ns, k, gate, max_runs, counts in (
         ([4, 5], 2, "strict", None, [224, 2720]),
         ([4], 2, "weak", None, [408]),
         ([4], 3, "strict", 8000, [2560]),
     ):
-        reused = 0
+        shared.clear()
         results = cross_check(ns, k=k, max_runs=max_runs, gate=gate)
-        assert [r.shared_tails for r in results] == shared
-        assert reused == sum(shared)
+        assert [r.shared_tails for r in results] == counts
+        assert len(shared) == sum(counts)
+        for sc, judged, bad, fed in shared:
+            last = sc.faults[-1].slot
+            full = checker._Path(Ring(sc, gate=gate, record=False), CounterTree(sc.n))
+            while full.ring.slot < last + 2 * sc.n:
+                if full.ring.slot == last and not fed:
+                    full.tree = None
+                full.advance()
+            assert (convergence(full.ring), full.bad) == (judged, bad), sc
 
 
 def test_single_fault_sweeps_share_no_tail():
     assert [r.shared_tails for r in cross_check(range(3, 8))] == [0] * 5
 
 
-def _other(value):
-    """A value of the same shape as ``value`` that differs from it."""
-    if isinstance(value, Enum):
-        return next(m for m in type(value) if m is not value)
-    if value is None:
-        return 0
-    if isinstance(value, int):
-        return value + 1
-    if isinstance(value, str):
-        return value + "x"
-    if isinstance(value, list):
-        return [_other(value[0])] + value[1:] if value else [0]
-    if isinstance(value, dict):
-        first = next(iter(value))
-        return {**value, first: _other(value[first])}
-    if isinstance(value, set):
-        return value ^ {-1}
-    if is_dataclass(value):
-        name = fields(value)[0].name
-        return replace(value, **{name: _other(getattr(value, name))})
-    raise TypeError(f"no other value for {value!r}")
+def _forks(scenarios):
+    """The walk's chains grouped by fork point, (earlier faults, last
+    slot), each with its last faults in the walk's order."""
+    forks = {}
+    for sc in scenarios:
+        *earlier, fault = sc.faults
+        forks.setdefault((tuple(earlier), fault.slot), []).append(fault)
+    return forks.items()
 
 
-def test_the_tail_key_covers_every_field():
-    # Changing any one field of a station, the ring's labels, last frame or
-    # slot, or any one attribute of the counter tree changes the key under
-    # which sibling tails are shared, so a field added later cannot be left
-    # out of it.
-    sc = Scenario(n=5, rounds=5, faults=(FaultSpec(0, frozenset({1, 2})),
-                                         FaultSpec(2, frozenset({1}))))
-    ring = Ring(sc, record=False)
-    tree = CounterTree(5)
-    while ring.slot < 8:
-        ring.step()
-        tree.feed(ring.events[-1])
-    assert tree.departed, "the key must also see a departure"
-    names = {f.name for f in fields(StationState)}
-    assert set(vars(ring.stations[1])) == names
-    targets = [(ring.stations[1], name) for name in sorted(names)]
-    targets += [(ring, name) for name in ("labels", "last_frame", "slot")]
-    targets += [(tree, name) for name in sorted(vars(tree))]
-    for obj, name in targets:
-        keys = ring.state_key(), tree.state_key()
-        value = getattr(obj, name)
-        setattr(obj, name, _other(value))
-        assert (ring.state_key(), tree.state_key()) != keys, name
-        setattr(obj, name, value)
-        assert (ring.state_key(), tree.state_key()) == keys, name
+def test_accept_sets_step_alike_exactly_when_they_agree_on_the_decisive_receivers():
+    # At every last-fault fork point, each accept set is stepped from its
+    # own fork: its stations, labels and slot event equal an earlier
+    # sibling's exactly when the two accept the same decisive receivers.
+    # Probing leaves the ring as it was.  On the k=2 walks the siblings that
+    # step alike are the ones the sweep shares.
+    for k, gate, chains, shared in ((2, "strict", None, 224), (2, "weak", None, 408),
+                                    (3, "strict", 600, None)):
+        walk = (sc for sc, _, _ in checker._chains(checker._Path(checker._root(4, k, gate)), k))
+        alike = 0
+        for (earlier, slot), faults in _forks(islice(walk, chains)):
+            ring = Ring(Scenario(4, k + 3, earlier), gate=gate, record=False).run_until(slot)
+            before = _ring_state(ring)
+            decisive = ring.decisive_receivers()
+            assert _ring_state(ring) == before
+            assert decisive <= set(ring.active_ids()) - {slot % 4}
+            stepped = []
+            for fault in faults:
+                child = ring.fork(fault)
+                child.step()
+                stepped.append((fault.accept & decisive, _ring_state(child)[:2],
+                                child.events[-1]))
+            for i, (group, state, event) in enumerate(stepped):
+                for prev_group, prev_state, prev_event in stepped[:i]:
+                    same = (state, event) == (prev_state, prev_event)
+                    assert (group == prev_group) == same, (earlier, faults[i])
+            alike += len(stepped) - len({group for group, _, _ in stepped})
+        if shared is not None:
+            assert alike == shared, (k, gate)
+
+
+def _ring_state(ring):
+    return ([astuple(st) for st in ring.stations], list(ring.labels), list(ring.events),
+            ring.slot, ring.last_frame, list(ring.warnings))

@@ -41,6 +41,18 @@ def test_simulate_tables_match_the_golden_cascade_run(capsys):
     assert out == golden
 
 
+def test_simulate_tables_match_the_golden_rejoin_run(capsys):
+    # Hand-checked against the scenario's comment: s3 fails its gate at
+    # slot 3 with acc=fail=2, listens from slot 4, starts counting at its
+    # own slot 11 (a round of listening has passed), counts acc=2 fail=0
+    # over slots 12-14 and re-enters at slot 15 with s0 and s2's vector
+    # 1011, whose class label "1" it adopts.
+    code, out, _ = run(capsys, "simulate", "--tables",
+                       "--scenario", str(FIXTURES / "rejoin.scn"))
+    assert code == 0
+    assert out == (FIXTURES / "rejoin_tables.txt").read_text()
+
+
 def test_simulate_without_faults_keeps_every_vector_full(capsys):
     code, out, _ = run(capsys, "simulate", "--tables",
                        "--scenario", str(FIXTURES / "quiet.scn"))

@@ -182,6 +182,17 @@ def test_listening_station_needs_its_start_slot():
         reintegrate_step(me, 7)
 
 
+def test_listening_lasts_one_round_from_its_start():
+    # Listening that starts in the station's own slot ends there one round
+    # later: the counting round begins at slot 11, not a round after it.
+    me = station(3, 4, "1110", 2, 1, location=Location.INTEG_LISTEN)
+    me.listen_from = 7
+    assert reintegrate_step(me, 7) is None
+    assert me.location is Location.INTEG_LISTEN
+    assert reintegrate_step(me, 11) is None
+    assert (me.location, me.acc, me.fail) == (Location.INTEG_COUNTING, 0, 0)
+
+
 def reference_receive(st: StationState, frame: Frame, clean: bool) -> ReceiveEvent:
     """The receive rules spelled out with ``with_bit`` and ``crc_correct``:
     the table below pins ``receive_step`` to them, bit for bit."""

@@ -417,3 +417,15 @@ def test_a_fork_of_a_parsed_scenario_keeps_its_lines():
     with pytest.raises(ScenarioError,
                        match=r"^line 4: integrate station=s2 slot=9: station is agree, not failed$"):
         ring.run()
+
+
+def test_decisive_receivers_need_a_slot_a_fault_may_strike():
+    # s3 loses its gate at slot 3 and starts to rejoin at slot 4, where s0
+    # sends, and s1 loses its gate at slot 5: no fault may strike these
+    # slots.  At slot 6 the listening s3 is a receiver like s0.
+    sc = Scenario(4, 4, SINGLE_FAULT.faults, (IntegrationSpec(3, 4),))
+    for slot in (3, 4, 5):
+        ring = Ring(sc, record=False).run_until(slot)
+        with pytest.raises(ValueError, match=f"slot {slot} is not"):
+            ring.decisive_receivers()
+    assert Ring(sc, record=False).run_until(6).decisive_receivers() == {0, 3}
