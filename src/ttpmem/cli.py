@@ -205,11 +205,13 @@ def cmd_kfault_oracle(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
     ring = Ring(sc, record=False).run()
     _warn(ring.warnings)
+    if sc.integrations:
+        # Refused before the tree replays the run, so that any error the run
+        # itself shows comes first, as in the other verbs.
+        raise sc.refuse("counter tree is undefined while stations integrate",
+                        ("integrate", 0))
     tree = CounterTree(ring.n)
-    try:
-        checks = tree_gate_checks(ring, tree)
-    except ValueError as e:
-        raise ScenarioError(str(e)) from None
+    checks = tree_gate_checks(ring, tree)
     lines: List[str] = []
     bad = 0
     for c in checks:

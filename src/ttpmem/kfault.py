@@ -14,16 +14,20 @@ of the slot before the one that opens a fault's next round.
 
 ``predict_gate`` turns those counters into the (acc, fail) pair an active
 station must hold when its own slot comes up, selecting the arithmetic by
-the station's position relative to the fault rounds.  The predictions use
-only observable slot outcomes, never the stations' internal counters, so
-agreement with a concrete run is a genuine cross-check.
+the station's position relative to the fault rounds.  It reads only the
+counters and the owner's class, never another station, and the counters
+see only observable slot outcomes, so agreement with a concrete run is a
+genuine cross-check.  Two identities make that possible.  In the fault
+round (slot t, cp0 = t - f1 < n), the n - cp0 slots of the window before
+the first fault all carried a frame, the owner's own included, and every
+frame since is counted once, in the d of the level open when it was sent:
+acc = n - cp0 + sum_l d[w_s[:l]] and fail = sum_l sum_w d_w - sum_l d[w_s[:l]].
+Once the classes have settled, a leaf's C has dropped at each departure,
+so the pair is (C[w_s], sum_w C_w - C[w_s]).
 
 ``CounterTree.feed`` is the per-event step: predict the owner's gate from
 the counters as they stand, then observe the event.  A tree fed alongside a
 running ring forks with it, so a sweep feeds each shared prefix once.
-``observe`` also keeps two derived caches, each level's total d and the
-stations that have departed, so that a prediction reads sums instead of
-rescanning every level and every station's last emission.
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ from .ring import Ring, SlotEvent
 def expected_counter_count(k: int) -> int:
     """Closed form for the number of counters a k-fault tree needs: per
     level i one (C, d) pair for each of its i+1 classes, one elapsed-slots
-    clock per fault, and the two auxiliaries for each of the k+1 leaves."""
+    clock per fault, and the two auxiliaries for each of the k+1 leaves.
+    Before the first fault the tree predicts (n, 0) from no counter at all."""
+    if k == 0:
+        return 0
     return sum(2 * (i + 1) for i in range(1, k + 1)) + k + 2 * (k + 1)
 
 
@@ -47,14 +54,10 @@ class CounterTree:
         self.fault_slots: List[int] = []
         # levels[i] (i = 0 for the first fault) maps label -> [C, d]
         self.levels: List[Dict[str, List[int]]] = []
-        # dsum[i] is the sum of d over levels[i] (a cache, not a counter).
-        self.dsum: List[int] = []
         self.aux_a: Dict[str, int] = {}
         self.aux_f: Dict[str, int] = {}
         self.label: Dict[int, str] = {i: "" for i in range(n)}
         self.active: set = set(range(n))
-        # Stations no longer active, in order of departure (a cache).
-        self.departed: List[int] = []
         # Virtual pre-run emissions keep window arithmetic uniform.
         self.last_emission: Dict[int, int] = {i: i - n for i in range(n)}
 
@@ -64,12 +67,10 @@ class CounterTree:
         clone.n = self.n
         clone.fault_slots = list(self.fault_slots)
         clone.levels = [{w: list(cd) for w, cd in level.items()} for level in self.levels]
-        clone.dsum = list(self.dsum)
         clone.aux_a = dict(self.aux_a)
         clone.aux_f = dict(self.aux_f)
         clone.label = dict(self.label)
         clone.active = set(self.active)
-        clone.departed = list(self.departed)
         clone.last_emission = dict(self.last_emission)
         return clone
 
@@ -86,7 +87,6 @@ class CounterTree:
                 w = self.label[ev.owner]
                 if ev.slot < self.fault_slots[-1] + self.n:
                     self.levels[-1][w][1] += 1
-                    self.dsum[-1] += 1
                 if w in self.aux_a:
                     self.aux_a[w] += 1
             self.last_emission[ev.owner] = ev.slot
@@ -105,7 +105,6 @@ class CounterTree:
             if sid not in self.active:
                 continue
             self.active.discard(sid)
-            self.departed.append(sid)
             if self.fault_slots:
                 w = self.label[sid]
                 self.levels[-1][w][0] -= 1
@@ -139,7 +138,6 @@ class CounterTree:
             new_level["1"] = [x, 1]
             new_level["0"] = [self.n - x, 0]
         self.levels.append(new_level)
-        self.dsum.append(1)  # the faulty frame itself
         self.aux_a = {w: (1 if w == old_label[emitter] + "1" else 0) for w in new_level}
         self.aux_f = {w: 0 for w in new_level}
 
@@ -167,18 +165,12 @@ class CounterTree:
         cp = [slot - fs for fs in self.fault_slots]
 
         if cp[0] < self.n:
-            # Window still contains every fault: acc is the working set
-            # (active stations, and gone ones whose last frame is still in
-            # the window) minus all foreign-class frames, which are exactly fail.
-            since = slot - self.n
-            working = len(self.active) + sum(
-                1 for gone in self.departed if self.last_emission[gone] > since
-            )
-            foreign = sum(
-                total - counters[w_s[:level]][1]
-                for level, (counters, total) in enumerate(zip(self.levels, self.dsum), start=1)
-            )
-            return (working - foreign, foreign)
+            # Window still contains every fault: its n - cp0 slots before the
+            # first one all carried a frame the owner accepted, and each frame
+            # since is counted in its level's d; foreign-class frames are fail.
+            own = sum(level[w_s[:l]][1] for l, level in enumerate(self.levels, start=1))
+            sent = sum(d for level in self.levels for _c, d in level.values())
+            return (self.n - cp[0] + own, sent - own)
 
         if cp[-1] < self.n:
             # Faults 1..i have aged out of the window, i+1..j are inside.
@@ -190,7 +182,8 @@ class CounterTree:
                 if w[:i] == w_s[:i]
             )
             fail = sum(
-                self.dsum[l - 1] - self.levels[l - 1][w_s[:l]][1] for l in range(i, j + 1)
+                sum(d for _c, d in self.levels[l - 1].values()) - self.levels[l - 1][w_s[:l]][1]
+                for l in range(i, j + 1)
             )
             fail -= sum(
                 self.aux_a[w] + self.aux_f[w]
@@ -210,10 +203,9 @@ class CounterTree:
             )
             return (acc, fail)
 
-        # Stabilized: plain same-class / other-class headcount.
-        same = sum(1 for a in self.active if self.label[a] == w_s)
-        other = len(self.active) - same
-        return (same, other)
+        # Stabilized: the leaves' populations are the live headcounts.
+        same = self.levels[-1][w_s][0]
+        return (same, sum(c for c, _d in self.levels[-1].values()) - same)
 
     # -- audits ----------------------------------------------------------------
 

@@ -1,0 +1,123 @@
+"""Mutation checks: do the tests notice a one-line fault in ``src/``?
+
+Each mutant below replaces one piece of text in one source file.  For each,
+the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, checks that the old text occurs exactly once, applies the mutant
+there and runs one ``pytest -x`` on a fast selection of tests (about 20 s on
+a 2-vCPU host).  A failing run kills the mutant; a passing one lets it
+survive.  The unmutated copy is run first and must pass.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py 3 7        # mutants 3 and 7 only
+
+Standard library only.  Pytest does not collect this file, and it is not
+part of the tier-1 suite.  Exit code: 0 when every mutant is killed, 1 when
+one survives, 2 when a mutant number is unknown, a mutant's old text does
+not occur exactly once, or the unmutated selection fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SELECTION = [
+    "tests/test_kfault.py", "tests/test_protocol.py", "tests/test_ring.py",
+    "tests/test_cli.py", "tests/test_checker.py", "tests/test_acceptance.py",
+    "-k", "not criterion_7",
+]
+
+# (file under src/ttpmem, old text, new text, what the mutant breaks)
+MUTANTS = [
+    ("kfault.py", "return (self.n - cp[0] + own, sent - own)",
+     "return (self.n - cp[0] - 1 + own, sent - own)",
+     "fault round: one pre-fault frame too few in the window"),
+    ("kfault.py", "enumerate(self.levels, start=1))",
+     "enumerate(self.levels[:-1], start=1))",
+     "fault round: the lineage sum drops the newest level"),
+    ("kfault.py", "same = self.levels[-1][w_s][0]",
+     "same = self.levels[-1][max(self.levels[-1])][0]",
+     "settled: same-class headcount read from the wrong leaf"),
+    ("kfault.py", "c1 = 1 + len(accepted)", "c1 = len(accepted)",
+     "_split: the emitter left out of its vouchers' class"),
+    ("kfault.py", 'new_level["0"] = [self.n - x, 0]', 'new_level["0"] = [self.n - x, 1]',
+     "_split: the first fault's rejecters start with one frame"),
+    ("kfault.py", "if ev.slot + 1 - self.n in self.fault_slots:",
+     "if ev.slot - self.n in self.fault_slots:",
+     "aux counters reset one slot late"),
+    ("protocol.py", "if slot - st.listen_from >= st.n:",
+     "if slot - st.listen_from > st.n:",
+     "m2: a rejoiner listens one slot past a full round"),
+    ("ring.py", "other.location.is_active and other.member == st.member:",
+     "other.location.is_active:",
+     "m5: a rejoiner adopts any active station's label"),
+    ("protocol.py", "return st.acc > st.fail", "return st.acc >= st.fail",
+     "the strict clique gate passes on a tie"),
+    ("protocol.py", "if clean and frame.vector == st.member | bit:",
+     "if clean and frame.vector == st.member:",
+     "idle accept: a written-off sender's frame is rejected"),
+]
+
+
+def run_selection(tree: Path) -> bool:
+    """True when the selection passes on the copy at ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *SELECTION],
+        cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env={**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    return proc.returncode == 0
+
+
+def copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def main(argv: list) -> int:
+    chosen = [int(a) for a in argv] or list(range(1, len(MUTANTS) + 1))
+    for i in chosen:
+        if not 1 <= i <= len(MUTANTS):
+            print(f"no mutant {i}: they are numbered 1..{len(MUTANTS)}")
+            return 2
+        path, old, _new, _why = MUTANTS[i - 1]
+        count = (ROOT / "src/ttpmem" / path).read_text().count(old)
+        if count != 1:
+            print(f"mutant {i}: {path} holds its old text {count} times, not once")
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp, "base")
+        copy_tree(base)
+        if not run_selection(base):
+            print("the unmutated selection fails; no mutant can be judged")
+            return 2
+    survived = 0
+    print(f"{'#':>2}  {'result':<8} {'secs':>5}  {'file':<12} mutant")
+    for i in chosen:
+        path, old, new, why = MUTANTS[i - 1]
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            copy_tree(tree)
+            target = tree / "src/ttpmem" / path
+            target.write_text(target.read_text().replace(old, new))
+            start = time.perf_counter()
+            killed = not run_selection(tree)
+        survived += not killed
+        print(f"{i:>2}  {'killed' if killed else 'SURVIVED':<8} "
+              f"{time.perf_counter() - start:5.1f}  {path:<12} {why}", flush=True)
+    print(f"{len(chosen) - survived} killed, {survived} survived")
+    return 0 if survived == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

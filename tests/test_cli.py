@@ -323,11 +323,20 @@ def test_kfault_oracle_reports_gates_and_the_counter_budget(capsys):
     assert "counters in use: 18 (budget for k=2: 18)" in out
 
 
+def test_kfault_oracle_on_a_fault_free_run_holds_no_counter_and_budgets_none(capsys):
+    code, out, err = run(capsys, "kfault-oracle",
+                         "--scenario", str(FIXTURES / "quiet.scn"))
+    assert code == 0 and err == ""
+    assert "counters in use: 0 (budget for k=0: 0)" in out
+    assert out.endswith("gate checks: 8, mismatches: 0\n")
+
+
 def test_kfault_oracle_refuses_integration_runs(capsys):
-    code, _, err = run(capsys, "kfault-oracle",
-                       "--scenario", str(FIXTURES / "rejoin.scn"))
-    assert code == 2
-    assert "integrate" in err
+    # Refused before the run, naming the integrate line.
+    code, out, err = run(capsys, "kfault-oracle",
+                         "--scenario", str(FIXTURES / "rejoin.scn"))
+    assert code == 2 and out == ""
+    assert err == "error: line 5: counter tree is undefined while stations integrate\n"
 
 
 def test_rejoin_scenario_simulates_to_a_restored_ring(capsys):

@@ -9,7 +9,7 @@ golden tables cover.
 
 from __future__ import annotations
 
-from itertools import islice
+from collections.abc import Mapping
 
 from ttpmem.checker import kfault_scenarios
 from ttpmem.kfault import (
@@ -107,15 +107,16 @@ def test_four_fault_split_labels():
 
 
 def test_counter_budget_matches_tree_inventory():
+    assert expected_counter_count(0) == 0
     assert expected_counter_count(1) == 9
     assert expected_counter_count(2) == 18
     assert expected_counter_count(4) == 42
 
-    ring = Ring(CASCADE).run()
-    tree = CounterTree(4)
-    for ev in ring.events:
-        tree.observe(ev)
-    assert len(tree.counters_in_use()) == expected_counter_count(2)
+    for scenario, k in ((Scenario(n=4, rounds=2), 0), (CASCADE, 2)):
+        tree = CounterTree(4)
+        for ev in Ring(scenario).run().events:
+            tree.observe(ev)
+        assert len(tree.counters_in_use()) == expected_counter_count(k)
 
     tree = CounterTree(5)
     for i, (owner, accepted) in enumerate([(0, (1,)), (0, ()), (2, (3,)), (1, ())]):
@@ -180,16 +181,80 @@ def test_tree_is_exact_after_two_faults_have_settled():
     assert settled == 3086
 
 
-def test_cached_sums_match_the_counters_at_every_slot():
-    # predict_gate reads each level's total d and the departed stations from
-    # caches that observe keeps; after every event they must equal what the
-    # levels and the active set hold.  The k=3 chains include the recorded
-    # mispredictions, which the caches must leave as they are.
-    for n, k, count in ((4, 2, None), (5, 2, 300), (4, 3, 600)):
-        for sc in islice(kfault_scenarios(n, k), count):
+def reference_predict_gate(tree: CounterTree, sid: int, slot: int):
+    """The tree's prediction in its per-station form: the fault round counts
+    the working set station by station (the active ones, and the gone ones
+    whose last frame is still in the window), and the settled branch counts
+    the active stations by label.  The two middle branches are the tree's."""
+    n = tree.n
+    if not tree.fault_slots:
+        return (n, 0)
+    j = len(tree.fault_slots)
+    w_s = tree.label[sid]
+    cp = [slot - fs for fs in tree.fault_slots]
+    if cp[-1] < n:  # the two branches that read each level's total d
+        dsum = [sum(d for _c, d in level.values()) for level in tree.levels]
+
+    if cp[0] < n:
+        working = len(tree.active) + sum(
+            1 for gone in set(range(n)) - tree.active if tree.last_emission[gone] > slot - n
+        )
+        foreign = sum(
+            total - counters[w_s[:level]][1]
+            for level, (counters, total) in enumerate(zip(tree.levels, dsum), start=1)
+        )
+        return (working - foreign, foreign)
+
+    if cp[-1] < n:
+        i = max(idx for idx in range(j) if cp[idx] >= n) + 1
+        acc = sum(tree.levels[l - 1][w_s[:l]][1] for l in range(i, j + 1))
+        acc -= sum(tree.aux_a[w] + tree.aux_f[w] for w in tree.aux_a if w[:i] == w_s[:i])
+        fail = sum(dsum[l - 1] - tree.levels[l - 1][w_s[:l]][1] for l in range(i, j + 1))
+        fail -= sum(tree.aux_a[w] + tree.aux_f[w] for w in tree.aux_a if w[:i] != w_s[:i])
+        return (acc, fail)
+
+    if cp[-1] < 2 * n:
+        acc = tree.levels[-1][w_s][1] - tree.aux_f[w_s]
+        fail = sum(d - tree.aux_f[w] for w, (_c, d) in tree.levels[-1].items() if w != w_s)
+        return (acc, fail)
+
+    same = sum(1 for a in tree.active if tree.label[a] == w_s)
+    return (same, len(tree.active) - same)
+
+
+class Unreadable(Mapping):
+    """Stands in for a per-station map that a prediction must not read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"predict_gate read a per-station map at {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("predict_gate iterated a per-station map")
+
+    def __len__(self):
+        raise AssertionError("predict_gate sized a per-station map")
+
+
+def test_gate_predictions_read_counters_and_the_owners_class_only():
+    # Every chain of k=1..3 at n=4 and k=1..2 at n=5, run to its horizon so
+    # that all four branches are reached.  At each gate predict_gate sees
+    # only the counters, the owner's label and the owner itself as the
+    # active set; it must still give the per-station reference's answer,
+    # also on the k=3 chains the tree is known to mispredict.
+    predictions = 0
+    for n, k in ((4, 1), (4, 2), (4, 3), (5, 1), (5, 2)):
+        for sc in kfault_scenarios(n, k):
             tree = CounterTree(n)
             for ev in Ring(sc, record=False).run().events:
+                if ev.gate is not None and ev.owner_loc in ("in", "agree", "disagree"):
+                    want = reference_predict_gate(tree, ev.owner, ev.slot)
+                    label, active, last = tree.label, tree.active, tree.last_emission
+                    tree.label, tree.active = {ev.owner: label[ev.owner]}, {ev.owner}
+                    tree.last_emission = Unreadable()
+                    try:
+                        assert tree.predict_gate(ev.owner, ev.slot) == want, (sc, ev.slot)
+                    finally:
+                        tree.label, tree.active, tree.last_emission = label, active, last
+                    predictions += 1
                 tree.observe(ev)
-                assert tree.dsum == [sum(d for _c, d in level.values())
-                                     for level in tree.levels], sc
-                assert sorted(tree.departed) == sorted(set(range(n)) - tree.active), sc
+    assert predictions == 219298

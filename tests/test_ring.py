@@ -9,6 +9,7 @@ the implementation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -303,8 +304,11 @@ def test_every_single_fault_departure_rejoins_and_the_ring_converges():
     # Every chain of one fault at n=4..6 on an 8-round horizon; each station
     # that leaves rejoins, in a run of its own, at each of the 2n slots
     # after its departure.  At the horizon the ring has converged, and the
-    # rejoiner is either active in the clique or back in failed.
+    # rejoiner is either active in the clique or back in failed.  Each one
+    # that re-enters does so with its first frame, sent from counting; the
+    # offsets of that slot from the integrate slot are pinned too.
     ends = {"clique": 0, "failed": 0}
+    reentry = Counter()
     for n in (4, 5, 6):
         for sc in kfault_scenarios(n, 1):
             base = Ring(Scenario(n, 8, sc.faults), record=False).run()
@@ -317,10 +321,14 @@ def test_every_single_fault_departure_rejoins_and_the_ring_converges():
                         assert judged.converged, (sc.faults, rejoin)
                         if sid in judged.active:
                             ends["clique"] += 1
+                            reentry[next(e.slot for e in ring.events if e.owner == sid
+                                         and e.owner_loc == "counting" and e.emitted) - slot] += 1
                         else:
                             assert ring.station(sid).location is Location.FAILED
                             ends["failed"] += 1
     assert ends == {"clique": 6150, "failed": 366}
+    assert sorted(reentry.items()) == [(8, 76), (9, 80), (10, 331), (11, 322), (12, 1047),
+                                       (13, 1048), (14, 1026), (15, 774), (16, 738), (17, 708)]
 
 
 def test_integration_requires_failed_station():
