@@ -54,8 +54,7 @@ def with_bit(vector: MembershipVector, i: StationId, value: int) -> MembershipVe
 
 def vector_str(vector: MembershipVector, n: int) -> str:
     """Render bit 0 first: station order left to right; bits at or above
-    ``n`` are ignored.  One ``format`` call, reversed: the renderers call
-    this for every station of every slot."""
+    ``n`` are ignored.  One ``format`` call, reversed."""
     if not n:
         return ""
     return format(vector & ((1 << n) - 1), f"0{n}b")[::-1]

@@ -12,7 +12,9 @@ faulty frame, '0' for everyone else).
 ``Ring.events`` is the run's history, one :class:`SlotEvent` per slot, and
 every consumer (oracles, abstraction map, renderers) reads it there; with
 ``record=True``, ``Ring.records`` adds each slot's post-slot station
-snapshot, which only the trace and table renderers print.
+snapshot, which only the trace and table renderers print.  Most of a run's
+station rows repeat an earlier slot's, so each renderer formats a distinct
+row once per call and reuses its text.
 
 Scenario file format: one directive per line, each key given once, '#'
 comments allowed.  The parsed :class:`Scenario` carries the line of each
@@ -31,7 +33,7 @@ Trace format (one line per slot, fixed field order)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .protocol import (
     Frame,
@@ -287,7 +289,7 @@ StationsSnapshot = Tuple[Tuple[int, int, int, str], ...]  # (vector, acc, fail, 
 
 
 def _snapshot(stations: Sequence[StationState]) -> StationsSnapshot:
-    return tuple((st.member, st.acc, st.fail, st.location._value_) for st in stations)
+    return tuple([(st.member, st.acc, st.fail, st.location._value_) for st in stations])
 
 
 def _copy(st: StationState) -> StationState:
@@ -579,14 +581,32 @@ def convergence(ring: Ring) -> Convergence:
 # -- rendering ---------------------------------------------------------------
 
 
-def trace_lines(ring: Ring) -> List[str]:
-    lines = []
-    for ev, stations in zip(ring.events, ring.records):
-        parts = [f"slot={ev.slot}", f"owner=s{ev.owner}", f"sent={int(ev.emitted)}"]
+def _station_rows(n: int, snapshots: Iterable[StationsSnapshot],
+                  row: Callable[[int, str, int, int, str], str]) -> Iterator[List[str]]:
+    """Each snapshot's stations as ``row(sid, vector, acc, fail, loc)``,
+    formatting each distinct row once and each vector once per member.
+    Both caches live for this call only: a vector's text depends on ``n``."""
+    rows: Dict[Tuple[int, int, int, int, str], str] = {}
+    vectors: Dict[int, str] = {}
+    for stations in snapshots:
+        out = []
         for sid, (member, acc, fail, loc) in enumerate(stations):
-            parts.append(f"s{sid}[m={vector_str(member, ring.n)} a={acc} f={fail} loc={loc}]")
-        lines.append(" ".join(parts))
-    return lines
+            key = (sid, member, acc, fail, loc)
+            text = rows.get(key)
+            if text is None:
+                vector = vectors.get(member)
+                if vector is None:
+                    vector = vectors[member] = vector_str(member, n)
+                text = rows[key] = row(sid, vector, acc, fail, loc)
+            out.append(text)
+        yield out
+
+
+def trace_lines(ring: Ring) -> List[str]:
+    rows = _station_rows(ring.n, ring.records, lambda sid, vector, acc, fail, loc:
+                         f"s{sid}[m={vector} a={acc} f={fail} loc={loc}]")
+    return [f"slot={ev.slot} owner=s{ev.owner} sent={int(ev.emitted)} " + " ".join(slot_rows)
+            for ev, slot_rows in zip(ring.events, rows)]
 
 
 # A silent owner's note by its location before the slot; an active or
@@ -594,21 +614,14 @@ def trace_lines(ring: Ring) -> List[str]:
 _SILENT_NOTES = {"listen": "silent (listening)", "failed": "silent (failed)"}
 
 
-def render_table(ev: SlotEvent, stations: StationsSnapshot, n: int) -> str:
-    note = "sent" if ev.emitted else _SILENT_NOTES.get(ev.owner_loc, "silent (gate failed)")
-    return _table(f"after slot {ev.slot} - s{ev.owner} {note}", stations, n)
-
-
-def _table(title: str, stations: StationsSnapshot, n: int) -> str:
-    rows = [title, "  station  vector  acc  fail  location"]
-    rows += [f"  s{sid:<6}  {vector_str(member, n):<6}  {acc:<3}  {fail:<4}  {loc}"
-             for sid, (member, acc, fail, loc) in enumerate(stations)]
-    return "\n".join(rows)
-
-
 def render_run_tables(ring: Ring) -> str:
-    initial = [initial_station(i, ring.n) for i in range(ring.n)]
-    blocks = [_table("initial state", _snapshot(initial), ring.n)]
-    blocks.extend(render_table(ev, stations, ring.n)
-                  for ev, stations in zip(ring.events, ring.records))
-    return "\n\n".join(blocks) + "\n"
+    """The initial state's table, then one table per slot."""
+    titles = ["initial state"] + [
+        f"after slot {ev.slot} - s{ev.owner} "
+        + ("sent" if ev.emitted else _SILENT_NOTES.get(ev.owner_loc, "silent (gate failed)"))
+        for ev in ring.events]
+    initial = _snapshot([initial_station(i, ring.n) for i in range(ring.n)])
+    rows = _station_rows(ring.n, [initial, *ring.records], lambda sid, vector, acc, fail, loc:
+                         f"  s{sid:<6}  {vector:<6}  {acc:<3}  {fail:<4}  {loc}")
+    return "\n\n".join("\n".join([title, "  station  vector  acc  fail  location", *table])
+                       for title, table in zip(titles, rows)) + "\n"

@@ -63,6 +63,13 @@ MUTANTS = [
     ("protocol.py", "if clean and frame.vector == st.member | bit:",
      "if clean and frame.vector == st.member:",
      "idle accept: a written-off sender's frame is rejected"),
+    ("ring.py", "key = (sid, member, acc, fail, loc)", "key = (member, acc, fail, loc)",
+     "renderers: a row's key leaves out its station"),
+    ("ring.py", "key = (sid, member, acc, fail, loc)", "key = (sid, member, acc, fail)",
+     "renderers: a row's key leaves out its location"),
+    ("ring.py", "rows: Dict[Tuple[int, int, int, int, str], str] = {}",
+     'rows: Dict[Tuple[int, int, int, int, str], str] = globals().setdefault("_ROWS", {})',
+     "renderers: the row cache outlives its call"),
 ]
 
 

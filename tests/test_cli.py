@@ -1,8 +1,8 @@
 """Command-line behavior: verbs, golden table output, and every exit code.
 
-The two golden table files were rendered from runs whose per-slot values are
-frozen (and hand-checked) in test_ring.py; the fixtures pin the byte-exact
-presentation on top of those values.
+The golden table and trace files were rendered from runs whose per-slot
+values are frozen (and hand-checked) in test_ring.py; the fixtures pin the
+byte-exact presentation on top of those values.
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ def test_simulate_without_faults_keeps_every_vector_full(capsys):
         if ln.strip().startswith("s") and ln.strip()[1].isdigit()
     ]
     assert vector_rows and all("1111" in ln for ln in vector_rows)
+
+
+@pytest.mark.parametrize("name", ["single_fault", "cascade", "rejoin", "quiet"])
+def test_simulate_trace_matches_the_golden_run(name, capsys):
+    # Rendered before the trace renderer formatted each distinct station
+    # row once per call; the bytes must not move.
+    code, out, err = run(capsys, "simulate", "--scenario", str(FIXTURES / f"{name}.scn"))
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / f"{name}_trace.txt").read_text()
 
 
 def test_simulate_trace_mode_is_deterministic(capsys):
@@ -174,6 +183,23 @@ def test_partition_reports_rounds_and_converges(capsys):
     assert "classes one round after: [0: s1]  [1: s0,s2]" in out
     assert "classes two rounds after: [1: s0,s2]" in out
     assert "converged within two rounds: yes" in out
+
+
+def test_partition_of_a_rejoin_between_two_live_classes(capsys):
+    # s0 re-enters at slot 12 with s2 and s3's vector while s1 holds the
+    # other label; it adopts their label, so the label and vector partitions
+    # agree and the ring converges on s0, s2, s3.
+    code, out, err = run(capsys, "partition",
+                         "--scenario", str(FIXTURES / "rejoin_two_classes.scn"))
+    assert code == 0
+    assert err == ("warning: gap of 7 slots between faults at 0 and 7 exceeds one round; "
+                   "counting predictions are not guaranteed there\n")
+    assert out == ("last fault: fault@7->{s0,s2}\n"
+                   "classes one round after: [00: s1]  [01: s2,s3]\n"
+                   "classes two rounds after: [01: s0,s2,s3]\n"
+                   "active: s0,s2,s3\n"
+                   "single clique: yes\n"
+                   "converged within two rounds: yes\n")
 
 
 def test_partition_warns_about_a_fault_gap(tmp_path, capsys):

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
 from ttpmem.checker import kfault_scenarios
-from ttpmem.protocol import Location, SoundnessError, vector_str
+from ttpmem.protocol import Location, SoundnessError, initial_station, vector_str
 from ttpmem.ring import (
     FaultSpec,
     IntegrationSpec,
@@ -29,6 +30,8 @@ from ttpmem.ring import (
     scenario_text,
     trace_lines,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # n=4, fault at slot 0 (sender s0), only s2 receives the frame intact.
 SINGLE_FAULT = Scenario(n=4, rounds=3, faults=(FaultSpec(0, frozenset({2})),))
@@ -177,6 +180,81 @@ def test_trace_is_deterministic_and_fixed_format():
         "s0[m=1111 a=1 f=0 loc=agree] s1[m=0111 a=3 f=1 loc=disagree] "
         "s2[m=1111 a=3 f=0 loc=agree] s3[m=0111 a=1 f=1 loc=disagree]"
     )
+
+
+# The renderers as they were before each distinct station row was formatted
+# once per call: every row of every slot through its own f-string.
+def reference_trace_lines(ring):
+    lines = []
+    for ev, stations in zip(ring.events, ring.records):
+        parts = [f"slot={ev.slot}", f"owner=s{ev.owner}", f"sent={int(ev.emitted)}"]
+        for sid, (member, acc, fail, loc) in enumerate(stations):
+            parts.append(f"s{sid}[m={vector_str(member, ring.n)} a={acc} f={fail} loc={loc}]")
+        lines.append(" ".join(parts))
+    return lines
+
+
+def reference_tables(ring):
+    def table(title, stations):
+        rows = [title, "  station  vector  acc  fail  location"]
+        rows += [f"  s{sid:<6}  {vector_str(member, ring.n):<6}  {acc:<3}  {fail:<4}  {loc}"
+                 for sid, (member, acc, fail, loc) in enumerate(stations)]
+        return "\n".join(rows)
+
+    notes = {"listen": "silent (listening)", "failed": "silent (failed)"}
+    initial = [initial_station(i, ring.n) for i in range(ring.n)]
+    blocks = [table("initial state",
+                    [(st.member, st.acc, st.fail, st.location.value) for st in initial])]
+    for ev, stations in zip(ring.events, ring.records):
+        note = "sent" if ev.emitted else notes.get(ev.owner_loc, "silent (gate failed)")
+        blocks.append(table(f"after slot {ev.slot} - s{ev.owner} {note}", stations))
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_renderers_match_the_per_row_reference():
+    # Every chain of one fault at n=3..6 and of two faults at n=4, run to
+    # the horizon, and the rejoin fixture; rendered one after another, so
+    # rows of every ring size pass through the renderers in turn.
+    scenarios = [sc for n in (3, 4, 5, 6) for sc in kfault_scenarios(n, 1)]
+    scenarios += list(kfault_scenarios(4, 2))
+    scenarios.append(parse_scenario((FIXTURES / "rejoin.scn").read_text()))
+    assert len(scenarios) == 316 + 664 + 1
+    for sc in scenarios:
+        ring = Ring(sc).run()
+        assert trace_lines(ring) == reference_trace_lines(ring), sc
+        assert render_run_tables(ring) == reference_tables(ring), sc
+
+
+def test_renderers_keep_nothing_from_a_ring_of_another_size():
+    # s3 drops out of the n=4 ring, whose survivors then hold vector 0b0111
+    # with the same counters and locations the n=3 ring's stations hold: the
+    # two runs share rows, keyed alike, whose vectors print as 1110 and 111.
+    small = Ring(Scenario(3, 4, (FaultSpec(0, frozenset({1, 2})),))).run()
+    large = Ring(Scenario(4, 4, (FaultSpec(0, frozenset({1, 2})),))).run()
+
+    def keys(ring):
+        return {(sid, *row) for rec in ring.records for sid, row in enumerate(rec)}
+
+    assert keys(small) & keys(large)
+    for ring in (small, large, small):
+        assert trace_lines(ring) == reference_trace_lines(ring)
+        assert render_run_tables(ring) == reference_tables(ring)
+
+
+def test_a_rejoiner_takes_the_label_of_the_class_whose_vector_it_shares():
+    # Two classes are live when s0 re-enters at slot 12: s1 alone (label
+    # 00) and s2, s3 (label 01).  s0's vector is s2 and s3's.
+    ring = Ring(parse_scenario((FIXTURES / "rejoin_two_classes.scn").read_text()))
+    ring.run_until(12)
+    assert ring.labels[1:] == ["00", "01", "01"]
+    assert ring.station(0).location is Location.INTEG_COUNTING
+    ring.step()
+    ev = ring.events[-1]
+    assert (ev.owner, ev.owner_loc, ev.emitted) == (0, "counting", True)
+    assert vector_str(ring.station(0).member, 4) == "1011"
+    assert ring.labels == ["01", "00", "01", "01"]
+    assert partition_classes(ring) == {"00": (1,), "01": (0, 2, 3)}
+    assert convergence(ring.run()).classes == {"01": (0, 2, 3)}
 
 
 def test_scenario_parse_roundtrip():
