@@ -1,10 +1,11 @@
 """The counter abstraction, and what checking it actually uncovered.
 
 Part 1 maps a concrete run onto the abstract counter automaton slot by
-slot: the whole ring collapses to a dozen counters (class populations,
-per-round send budgets, slot/round clocks), and every concrete step is
-matched by an abstract transition - the sweep in the test suite does this
-for every single-fault scenario up to n=8.
+slot: the whole ring collapses to a handful of counters (class
+populations, per-round send budgets, the slot within the round and the
+rounds since the fault, kept as 0, 1 or 2 = two or more), and every concrete
+step is matched by an abstract transition - the sweep in the test suite does
+this for every single-fault scenario up to n=8.
 
 Part 2 explores the automaton exhaustively and checks the membership
 properties.  Five of the six hold everywhere.  The sixth - "after a decided
@@ -27,7 +28,7 @@ from ttpmem.ring import FaultSpec, Ring, Scenario, convergence, partition_classe
 
 
 def fmt(s) -> str:
-    return (f"c_in={s.c_in} c1={s.c1} c0={s.c0} cf={s.cf} cp={s.cp} r={s.r} "
+    return (f"c1={s.c1} c0={s.c0} cf={s.cf} cp={s.cp} r={s.r} "
             f"d1={s.d1} d0={s.d0} df={s.df}")
 
 

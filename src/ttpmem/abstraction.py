@@ -1,17 +1,21 @@
 """Counter abstraction of the single-fault ring.
 
-Stations are anonymous here: the state keeps only population counters per
-class (c_in = untouched by the fault, c1 = vouched for the faulty frame,
-c0 = rejected it, cf = failed) plus progress counters within the current
-round — d1/d0 = frames sent by each class since the round started, df =
-slots that passed silently, cp = slots elapsed in the round, r = rounds
-completed since the fault.  One abstract transition corresponds to one slot
-of the concrete ring; the slot owner's class is the nondeterminism.
+Stations are anonymous here: the state keeps only the counters that the
+rules read.  Before the fault nothing changes from slot to slot, so the
+state is one fixed point.  After it the state holds population counters
+per class (c1 = vouched for the faulty frame, c0 = rejected it, cf =
+failed) plus progress counters within the current round — d1/d0 = frames
+sent by each class since the round started, df = slots that passed
+silently, cp = slots elapsed in the round, r = rounds completed since the
+fault, kept as 0, 1 or 2 (= two or more), the only distinctions the rules
+draw.  The graph is therefore finite by construction.  One abstract
+transition corresponds to one slot of the concrete ring; the slot owner's
+class is the nondeterminism.
 
-Inputs per step: ``fault`` (the asymmetric fault strikes now, splitting the
-ring into x vouchers and n-x rejecters), and ``g`` (at the faulty station's
-next own slot: both successor checks went against it, so it left silently
-during the round instead of reaching its gate).
+Inputs per step: ``x`` (when at least 1, the asymmetric fault strikes now,
+splitting the ring into x vouchers and n-x rejecters), and ``g`` (at the
+faulty station's next own slot: both successor checks went against it, so
+it left silently during the round instead of reaching its gate).
 
 After the fault each class z (0 = rejecters, 1 = vouchers; o = the other)
 has the same two rules.  Mid-round (cp < n, d_z < c_z) the slot's owner
@@ -29,7 +33,7 @@ properties actually depend on these details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .ring import Ring
@@ -38,22 +42,19 @@ from .ring import Ring
 @dataclass(frozen=True)
 class AbstractState:
     n: int
-    c_in: int   # stations the fault has not touched yet (pre-fault: all)
     c0: int     # active rejecters of the faulty frame
     c1: int     # active vouchers (the faulty sender included)
     cf: int     # failed stations
     cp: int     # slot position within the current round, 1..n
-    r: int      # completed rounds since the fault
+    r: int      # completed rounds since the fault: 0, 1 or 2 (= two or more)
     d0: int     # rejecter-class frames sent this round
     d1: int     # voucher-class frames sent this round
     df: int     # silent slots this round
-    tg: int     # global slot counter mod n, 1..n (decoration)
-    sg: int     # faulty station's slot index, 0 = not yet known (decoration)
     fault_seen: bool = False
     g_exit: bool = False  # the faulty sender left via its successors' verdict
 
     def population(self) -> int:
-        return self.c_in + self.c0 + self.c1 + self.cf
+        return self.c0 + self.c1 + self.cf
 
 
 def _state(fields: Dict[str, object]) -> AbstractState:
@@ -69,9 +70,8 @@ def _state(fields: Dict[str, object]) -> AbstractState:
 
 @dataclass(frozen=True)
 class AbstractInputs:
-    fault: bool = False
     g: bool = False
-    x: int = 0  # vouchers created by the fault (sender included), 1..n
+    x: int = 0  # vouchers the fault creates now (sender included), 1..n; 0: no fault
 
 
 def abstract_init(n: int) -> AbstractState:
@@ -79,9 +79,8 @@ def abstract_init(n: int) -> AbstractState:
     # having sent this round, so the fault slot itself needs no special
     # progress bookkeeping.
     return AbstractState(
-        n=n, c_in=n, c0=0, c1=1, cf=0,
-        cp=1, r=0, d0=0, d1=1, df=0,
-        tg=1, sg=0, fault_seen=False, g_exit=False,
+        n=n, c0=0, c1=1, cf=0, cp=1, r=0, d0=0, d1=1, df=0,
+        fault_seen=False, g_exit=False,
     )
 
 
@@ -103,25 +102,25 @@ def abstract_successors(
     """All slot-steps enabled at ``s`` under the given inputs: at most one
     for each class that owns stations, rejecters first, then vouchers, then
     failed stations."""
-    base = {**s.__dict__, "tg": s.tg % s.n + 1}
+    base = s.__dict__
     out: List[AbstractTransition] = []
 
     def add(name: str, emits: bool, **changes) -> None:
         out.append(AbstractTransition(name, emits, _state({**base, **changes})))
 
     # -- before the fault ---------------------------------------------------
-    if s.c_in > 0:
-        if inp.fault:
+    if not s.fault_seen:
+        if inp.x:
             if not 1 <= inp.x <= s.n:
                 raise ValueError(f"fault input needs 1 <= x <= n, got x={inp.x}")
-            add("fault", True,
-                sg=s.tg, c_in=0, c1=inp.x, c0=s.n - inp.x, fault_seen=True)
+            add("fault", True, c1=inp.x, c0=s.n - inp.x, fault_seen=True)
         else:
-            add("tick", True)
+            add("tick", True)  # a self-loop: nothing the rules read changes
         return out
 
     mid = s.cp < s.n
     roll = s.cp == s.n
+    r_next = min(s.r + 1, 2)  # the rules tell apart only rounds 0, 1 and later
 
     # -- rejecter-class, then voucher-class slots: the same two rules ---------
     for z, o in ("0", "1"), ("1", "0"):
@@ -152,10 +151,10 @@ def abstract_successors(
             passes = c > c_other or (weak_gate and c == c_other)
             if passes and not g_exit:
                 add(f"r{z}_send_rollover", True,
-                    cp=1, r=s.r + 1, df=0, **{"d" + z: 1, "d" + o: 0})
+                    cp=1, r=r_next, df=0, **{"d" + z: 1, "d" + o: 0})
             else:
                 add("r1_guess_exit_rollover" if passes else f"r{z}_fail_rollover",
-                    False, cp=1, r=s.r + 1, cf=s.cf + 1, d0=0, d1=0, df=1,
+                    False, cp=1, r=r_next, cf=s.cf + 1, d0=0, d1=0, df=1,
                     g_exit=s.g_exit or g_exit, **{"c" + z: c - 1})
 
     # -- slots of failed stations --------------------------------------------
@@ -163,7 +162,7 @@ def abstract_successors(
         if mid and (s.df < s.cf or not strengthened):
             add("idle_slot", False, cp=s.cp + 1, df=s.df + 1)
         if roll and (s.df == s.cf or not strengthened):
-            add("idle_rollover", False, cp=1, r=s.r + 1, df=1, d0=0, d1=0)
+            add("idle_rollover", False, cp=1, r=r_next, df=1, d0=0, d1=0)
 
     return out
 
@@ -226,10 +225,9 @@ def abstraction_map(ring: Ring) -> AbstractState:
         elif st.location.is_receiving:
             raise ValueError("abstraction is undefined while stations integrate")
 
-    tg = sigma % n + 1
     fault_slot = _fault_slot(ring)
     if fault_slot is None:
-        return replace(abstract_init(n), tg=tg)
+        return abstract_init(n)
 
     exit_slot = _sender_exit(ring, fault_slot)
     cf = n - c1 - c0
@@ -250,10 +248,9 @@ def abstraction_map(ring: Ring) -> AbstractState:
             d0 += 1
 
     return _state({
-        "n": n, "c_in": 0, "c0": c0, "c1": c1, "cf": cf,
-        "cp": cp + 1, "r": r, "d0": d0, "d1": d1, "df": df,
-        "tg": tg, "sg": fault_slot % n + 1, "fault_seen": True,
-        "g_exit": exit_slot is not None and sigma > fault_slot + n,
+        "n": n, "c0": c0, "c1": c1, "cf": cf,
+        "cp": cp + 1, "r": min(r, 2), "d0": d0, "d1": d1, "df": df,
+        "fault_seen": True, "g_exit": exit_slot is not None and sigma > fault_slot + n,
     })
 
 
@@ -263,6 +260,6 @@ def abstract_inputs_for_slot(ring: Ring, slot: int) -> AbstractInputs:
     if fault_slot is None or slot < fault_slot:
         return AbstractInputs()
     if slot == fault_slot:
-        return AbstractInputs(fault=True, x=1 + len(ring.events[fault_slot].accepted))
+        return AbstractInputs(x=1 + len(ring.events[fault_slot].accepted))
     g = slot == fault_slot + ring.n and _sender_exit(ring, fault_slot) is not None
     return AbstractInputs(g=g)

@@ -41,7 +41,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .abstraction import (
     AbstractInputs,
     AbstractState,
-    _state,
     abstract_init,
     abstract_inputs_for_slot,
     abstract_successors,
@@ -68,13 +67,6 @@ SAMPLE_CHAINS = 100
 
 
 # -- abstract state-space exploration -----------------------------------------
-
-
-def _canon(s: AbstractState) -> AbstractState:
-    # tg/sg are write-only decorations; r only matters as 0 / 1 / >=2.
-    # Built like the successors themselves, without ``replace``: explore
-    # canonicalises every successor it makes.
-    return _state({**s.__dict__, "tg": 0, "sg": 0, "r": min(s.r, 2)})
 
 
 class StateGraph:
@@ -119,8 +111,7 @@ def explore(
     flags = dict(weak_gate=weak_gate, strengthened=strengthened,
                  literal_guard=literal_guard)
     g = StateGraph(n, x)
-    init = _canon(abstract_init(n))
-    g.add(init)
+    g.add(abstract_init(n))
     frontier = [0]
     while frontier:
         if len(g.states) > max_states:
@@ -130,16 +121,15 @@ def explore(
         nxt: List[int] = []
         for i in frontier:
             s = g.states[i]
-            if s.c_in > 0:
+            if s.fault_seen:
                 input_choices: Iterable[AbstractInputs] = (
-                    AbstractInputs(fault=True, x=x),
-                )
+                    AbstractInputs(g=False), AbstractInputs(g=True))
             else:
-                input_choices = (AbstractInputs(g=False), AbstractInputs(g=True))
+                input_choices = (AbstractInputs(x=x),)
             seen_here = set()
             for inp in input_choices:
                 for tr in abstract_successors(s, inp, **flags):
-                    post = _canon(tr.post)
+                    post = tr.post
                     if (tr.name, post) in seen_here:
                         continue
                     seen_here.add((tr.name, post))

@@ -119,9 +119,9 @@ class Scenario:
         line = self.lines.get(directive)
         return error(message if line is None else f"line {line}: {message}")
 
-    def validate(self) -> List[str]:
+    def validate(self) -> None:
         """Static checks: raises ScenarioError on hard violations, ResourceCap
-        on a horizon over budget; returns warnings of admissible oddities."""
+        on a horizon over budget."""
         if self.n < 3:
             raise self.refuse(f"need at least 3 stations, got n={self.n}", ("n", 0))
         if self.rounds < 1:
@@ -131,10 +131,8 @@ class Scenario:
             raise self.refuse(f"rounds = {self.rounds} gives {self.n} x {self.n} x "
                               f"{self.rounds} station-slots, over the budget of "
                               f"{HORIZON_BUDGET}", ("rounds", 0), ResourceCap)
-        warnings: List[str] = []
         for i in range(len(self.faults)):
-            warnings += self.check_fault(i)
-        warnings += self.horizon_warnings()
+            self.check_fault(i)
         for i, ev in enumerate(self.integrations):
             if not 0 <= ev.station < self.n:
                 raise self.refuse(f"integration station s{ev.station} out of range",
@@ -142,29 +140,17 @@ class Scenario:
             if not 0 <= ev.slot < self.total_slots:
                 raise self.refuse(f"integration slot {ev.slot} outside horizon",
                                   ("integrate", i))
-        return warnings
 
-    def check_fault(self, i: int) -> List[str]:
+    def check_fault(self, i: int) -> None:
         """Static checks of fault ``i`` against the horizon, the fault before
-        it and the ring: raises ScenarioError on a hard violation; returns
-        the gap warning, if the fault lies more than a round after the one
-        before it."""
+        it and the ring: raises ScenarioError on a hard violation."""
         f = self.faults[i]
         directive = ("fault", i)
         if not 0 <= f.slot < self.total_slots:
             raise self.refuse(f"fault slot {f.slot} outside horizon "
                               f"[0,{self.total_slots})", directive)
-        warnings: List[str] = []
-        if i:
-            prev = self.faults[i - 1].slot
-            if f.slot <= prev:
-                raise self.refuse("fault slots must be strictly increasing", directive)
-            if f.slot - prev > self.n:
-                warnings.append(
-                    f"gap of {f.slot - prev} slots between faults at {prev} and "
-                    f"{f.slot} exceeds one round; counting predictions are not "
-                    f"guaranteed there"
-                )
+        if i and f.slot <= self.faults[i - 1].slot:
+            raise self.refuse("fault slots must be strictly increasing", directive)
         owner = f.slot % self.n
         for sid in f.accept:
             if not 0 <= sid < self.n:
@@ -172,18 +158,24 @@ class Scenario:
             if sid == owner:
                 raise self.refuse(f"fault at slot {f.slot}: sender s{owner} cannot be "
                                   "its own receiver", directive)
-        return warnings
 
-    def horizon_warnings(self) -> List[str]:
-        """The warning that the horizon ends too early to judge the last
-        fault, if it does."""
+    @property
+    def warnings(self) -> List[str]:
+        """Admissible oddities: each fault more than a round after the one
+        before it, in fault order, then a horizon that ends too early to
+        judge the last fault."""
+        warnings = [
+            f"gap of {f.slot - prev.slot} slots between faults at {prev.slot} and "
+            f"{f.slot} exceeds one round; counting predictions are not guaranteed there"
+            for prev, f in zip(self.faults, self.faults[1:]) if f.slot - prev.slot > self.n
+        ]
         if self.faults and not self.judgeable(self.faults[-1].slot):
-            return [
+            warnings.append(
                 f"horizon ends {self.total_slots} slots in; less than two full rounds after "
                 f"the last fault at slot {self.faults[-1].slot}, so stabilization cannot "
                 f"be judged"
-            ]
-        return []
+            )
+        return warnings
 
     def with_fault(self, fault: FaultSpec) -> "Scenario":
         """This scenario with ``fault`` added after its faults, unchecked."""
@@ -192,7 +184,17 @@ class Scenario:
 
 
 def _ids(value: str) -> frozenset:
-    return frozenset(int(x) for x in value.split(",") if x.strip() != "")
+    """The ids of a comma-separated accept list, none of them empty or
+    repeated; "" is the empty list."""
+    ids: set = set()
+    for item in value.split(",") if value else ():
+        if not item:
+            raise ValueError(f"accept list {value!r} has an empty item")
+        i = int(item)
+        if i in ids:
+            raise ValueError(f"accept list {value!r} names {i} twice")
+        ids.add(i)
+    return frozenset(ids)
 
 
 # Per directive: the spec it builds, its required integer keys, and its
@@ -321,8 +323,8 @@ class Ring:
     def __init__(self, scenario: Scenario, gate: str = "strict", record: bool = True):
         if gate not in ("strict", "weak"):
             raise ValueError(f"gate must be 'strict' or 'weak', got {gate!r}")
+        scenario.validate()
         self.scenario = scenario
-        self.warnings = scenario.validate()
         self.n = scenario.n
         self.weak_gate = gate == "weak"
         self.record = record
@@ -341,6 +343,10 @@ class Ring:
             self._integrations.setdefault(ev.slot, []).append((i, ev.station))
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def warnings(self) -> List[str]:
+        return self.scenario.warnings
 
     def active_ids(self) -> List[int]:
         return [st.sid for st in self.stations if st.location.is_active]
@@ -489,19 +495,14 @@ class Ring:
         if fault.slot < self.slot:
             raise ValueError(f"cannot fork at slot {self.slot} with a fault at "
                              f"slot {fault.slot}, which has already run")
-        sc = self.scenario
-        scenario = sc.with_fault(fault)
-        # Only the added fault is new: the earlier faults' gap warnings
-        # stand, and the horizon is judged against the new last fault.
-        gaps = self.warnings[:len(self.warnings) - len(sc.horizon_warnings())]
-        warnings = gaps + scenario.check_fault(len(sc.faults)) + scenario.horizon_warnings()
+        scenario = self.scenario.with_fault(fault)
+        scenario.check_fault(len(scenario.faults) - 1)  # only the added fault is new
         clone = Ring.__new__(Ring)
         # Containers a step changes are copied; the rest is immutable or
         # read-only, so it is shared.
         clone.__dict__.update(
             self.__dict__,
             scenario=scenario,
-            warnings=warnings,
             stations=[_copy(st) for st in self.stations],
             labels=list(self.labels),
             events=list(self.events),

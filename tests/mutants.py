@@ -70,6 +70,18 @@ MUTANTS = [
     ("ring.py", "rows: Dict[Tuple[int, int, int, int, str], str] = {}",
      'rows: Dict[Tuple[int, int, int, int, str], str] = globals().setdefault("_ROWS", {})',
      "renderers: the row cache outlives its call"),
+    ("abstraction.py", 's.c0 + s.c1, 2 * base["d" + o]', 's.c0 + s.c1, base["d" + o]',
+     "fault-round gate: each foreign frame counted once, not twice"),
+    ("abstraction.py", "r_next = min(s.r + 1, 2)", "r_next = min(s.r + 1, 3)",
+     "rollover rules: r kept up to 3, not 2"),
+    ("abstraction.py", '"r": min(r, 2)', '"r": r',
+     "map: r left unbounded"),
+    ("abstraction.py", "s.g_exit and s.cp in (1, 2)", "s.g_exit and s.cp == 1",
+     "refined guard: only the first slot after a g-exit barred"),
+    ("abstraction.py", 'elif labels[ev.owner][0] == "1":', 'elif labels[ev.owner][0] == "0":',
+     "map: frames sent booked to the other class's d"),
+    ("abstraction.py", "sigma <= fault_slot + n:", "sigma < fault_slot + n:",
+     "map: a convicted sender unbooked one slot before its own"),
 ]
 
 
@@ -109,7 +121,7 @@ def main(argv: list) -> int:
             print("the unmutated selection fails; no mutant can be judged")
             return 2
     survived = 0
-    print(f"{'#':>2}  {'result':<8} {'secs':>5}  {'file':<12} mutant")
+    print(f"{'#':>2}  {'result':<8} {'secs':>5}  {'file':<14} mutant")
     for i in chosen:
         path, old, new, why = MUTANTS[i - 1]
         with tempfile.TemporaryDirectory() as tmp:
@@ -121,7 +133,7 @@ def main(argv: list) -> int:
             killed = not run_selection(tree)
         survived += not killed
         print(f"{i:>2}  {'killed' if killed else 'SURVIVED':<8} "
-              f"{time.perf_counter() - start:5.1f}  {path:<12} {why}", flush=True)
+              f"{time.perf_counter() - start:5.1f}  {path:<14} {why}", flush=True)
     print(f"{len(chosen) - survived} killed, {survived} survived")
     return 0 if survived == 0 else 1
 

@@ -32,7 +32,7 @@ def names(transitions):
 
 def test_initial_state_counts_future_sender():
     s = abstract_init(4)
-    assert s.c_in == 4 and s.c0 == 0 and s.cf == 0
+    assert s.c0 == 0 and s.cf == 0
     # the eventual faulty sender is pre-booked as a voucher that already sent
     assert s.c1 == 1 and s.d1 == 1
     assert s.cp == 1 and s.r == 0 and not s.fault_seen
@@ -40,28 +40,28 @@ def test_initial_state_counts_future_sender():
 
 def test_fault_transition_splits_population():
     s = abstract_init(4)
-    out = abstract_successors(s, AbstractInputs(fault=True, x=2))
+    out = abstract_successors(s, AbstractInputs(x=2))
     assert names(out) == ["fault"]
     post = out[0].post
     assert out[0].emits
-    assert post.c_in == 0 and post.c1 == 2 and post.c0 == 2 and post.cf == 0
-    assert post.fault_seen and post.sg == 1
+    assert post.c1 == 2 and post.c0 == 2 and post.cf == 0
+    assert post.fault_seen
     assert post.population() == 4
 
 
-def test_tick_keeps_state_up_to_slot_decoration():
+def test_tick_is_a_self_loop():
     s = abstract_init(5)
     out = abstract_successors(s, AbstractInputs())
     assert names(out) == ["tick"]
-    assert replace(out[0].post, tg=s.tg) == s
+    assert out[0].post == s
 
 
 # A state one slot before the round boundary, matching the single-fault
 # reference run with two vouchers and one rejecter left:
 BOUNDARY = AbstractState(
-    n=4, c_in=0, c0=1, c1=2, cf=1,
+    n=4, c0=1, c1=2, cf=1,
     cp=4, r=0, d0=1, d1=2, df=1,
-    tg=1, sg=1, fault_seen=True,
+    fault_seen=True,
 )
 
 
@@ -110,9 +110,9 @@ REFERENCE = Scenario(n=4, rounds=3, faults=(FaultSpec(0, frozenset({2})),))
 def test_map_of_reference_run_before_rollover():
     ring = Ring(REFERENCE).run_until(4)
     assert abstraction_map(ring) == AbstractState(
-        n=4, c_in=0, c0=1, c1=2, cf=1,
+        n=4, c0=1, c1=2, cf=1,
         cp=4, r=0, d0=1, d1=2, df=1,
-        tg=1, sg=1, fault_seen=True, g_exit=False,
+        fault_seen=True, g_exit=False,
     )
 
 
@@ -139,7 +139,7 @@ def test_map_defers_convicted_sender_until_its_slot():
 
 def test_inputs_raise_g_exactly_at_senders_vacated_slot():
     ring = Ring(CONVICTED).run_until(5)
-    assert abstract_inputs_for_slot(ring, 0) == AbstractInputs(fault=True, x=2)
+    assert abstract_inputs_for_slot(ring, 0) == AbstractInputs(x=2)
     assert abstract_inputs_for_slot(ring, 3) == AbstractInputs()
     assert abstract_inputs_for_slot(ring, 4) == AbstractInputs(g=True)
 
@@ -219,7 +219,7 @@ def test_states_built_in_place_are_whole_and_hash_like_constructed_ones():
             g = explore(n, x)
             states += g.states
             for s in g.states:
-                for inp in (AbstractInputs(fault=True, x=x), AbstractInputs(g=False),
+                for inp in (AbstractInputs(x=x), AbstractInputs(g=False),
                             AbstractInputs(g=True)):
                     states += [t.post for t in abstract_successors(s, inp)]
     for n in range(3, 6):
@@ -232,6 +232,7 @@ def test_states_built_in_place_are_whole_and_hash_like_constructed_ones():
     names = {f.name for f in fields(AbstractState)}
     for s in states:
         assert set(vars(s)) == names, s
+        assert 0 <= s.r <= 2, s
         built = AbstractState(**vars(s))
         assert s == built and hash(s) == hash(built), s
 
@@ -259,19 +260,18 @@ def reference_successors(
     def exhausted(d: int, c: int) -> bool:
         return d == c if strengthened else True
 
-    base = {**s.__dict__, "tg": s.tg % s.n + 1}
+    base = s.__dict__
     out: List[AbstractTransition] = []
 
     def add(name: str, emits: bool, **changes) -> None:
         out.append(AbstractTransition(name, emits, _state({**base, **changes})))
 
     # -- before the fault ---------------------------------------------------
-    if s.c_in > 0:
-        if inp.fault:
+    if not s.fault_seen:
+        if inp.x:
             if not 1 <= inp.x <= s.n:
                 raise ValueError(f"fault input needs 1 <= x <= n, got x={inp.x}")
-            add("fault", True,
-                sg=s.tg, c_in=0, c1=inp.x, c0=s.n - inp.x, fault_seen=True)
+            add("fault", True, c1=inp.x, c0=s.n - inp.x, fault_seen=True)
         else:
             add("tick", True)
         return out
@@ -293,10 +293,10 @@ def reference_successors(
                 cp=s.cp + 1, c0=s.c0 - 1, cf=s.cf + 1, df=s.df + 1)
         if roll and exhausted(s.d0, s.c0) and gate(s.c0, s.c1):
             add("r0_send_rollover", True,
-                cp=1, r=s.r + 1, d0=1, d1=0, df=0)
+                cp=1, r=min(s.r + 1, 2), d0=1, d1=0, df=0)
         if roll and exhausted(s.d0, s.c0) and not gate(s.c0, s.c1):
             add("r0_fail_rollover", False,
-                cp=1, r=s.r + 1, c0=s.c0 - 1, cf=s.cf + 1, d0=0, d1=0, df=1)
+                cp=1, r=min(s.r + 1, 2), c0=s.c0 - 1, cf=s.cf + 1, d0=0, d1=0, df=1)
 
     # -- voucher-class slots -------------------------------------------------
     if s.c1 > 0:
@@ -317,19 +317,19 @@ def reference_successors(
         if roll and exhausted(s.d1, s.c1) and gate(s.c1, s.c0):
             if not (s.r == 0 and inp.g):
                 add("r1_send_rollover", True,
-                    cp=1, r=s.r + 1, d1=1, d0=0, df=0)
+                    cp=1, r=min(s.r + 1, 2), d1=1, d0=0, df=0)
             else:
                 # The faulty sender's own slot, but both successor checks
                 # convicted it during the round: it leaves without sending.
                 add("r1_guess_exit_rollover", False,
-                    cp=1, r=s.r + 1, c1=s.c1 - 1, cf=s.cf + 1,
+                    cp=1, r=min(s.r + 1, 2), c1=s.c1 - 1, cf=s.cf + 1,
                     d1=0, d0=0, df=1, g_exit=True)
         if roll and exhausted(s.d1, s.c1) and not gate(s.c1, s.c0):
             # With g the sender was already convicted by its successors; the
             # slot is silent either way, but the flag still marks that the
             # two convicting stations own the next two slots.
             add("r1_fail_rollover", False,
-                cp=1, r=s.r + 1, c1=s.c1 - 1, cf=s.cf + 1, d1=0, d0=0, df=1,
+                cp=1, r=min(s.r + 1, 2), c1=s.c1 - 1, cf=s.cf + 1, d1=0, d0=0, df=1,
                 g_exit=s.g_exit or (s.r == 0 and inp.g))
 
     # -- slots of failed stations --------------------------------------------
@@ -337,7 +337,7 @@ def reference_successors(
         if mid and budget(s.df, s.cf):
             add("idle_slot", False, cp=s.cp + 1, df=s.df + 1)
         if roll and exhausted(s.df, s.cf):
-            add("idle_rollover", False, cp=1, r=s.r + 1, df=1, d0=0, d1=0)
+            add("idle_rollover", False, cp=1, r=min(s.r + 1, 2), df=1, d0=0, d1=0)
 
     return out
 
@@ -345,15 +345,16 @@ def reference_successors(
 def test_successors_match_the_reference_rules_exhaustively():
     # Names, emits, posts and their order: explore's breadth-first witnesses
     # follow the order.  Every reachable state of every variant, also with
-    # r three rounds on (the graphs keep r only as 0 / 1 / >=2).
+    # each other value of r (0, 1 or 2 = two or more).
     calls = 0
     for n, flags in product(range(3, 7), product((False, True), repeat=3)):
         flags = dict(zip(("weak_gate", "strengthened", "literal_guard"), flags))
         for x in range(1, n + 1):
             for s in explore(n, x, **flags).states:
-                inputs = ((AbstractInputs(fault=True, x=x),) if s.c_in else
-                          (AbstractInputs(g=False), AbstractInputs(g=True)))
-                for state, inp in product((s, replace(s, r=s.r + 3)), inputs):
+                inputs = ((AbstractInputs(g=False), AbstractInputs(g=True)) if s.fault_seen
+                          else (AbstractInputs(x=x),))
+                states = [replace(s, r=r) for r in range(3)]
+                for state, inp in product(states, inputs):
                     assert abstract_successors(state, inp, **flags) == \
                         reference_successors(state, inp, **flags), (state, inp, flags)
                     calls += 1

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import astuple, replace
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 import ttpmem.checker as checker
 
 from ttpmem.abstraction import (
+    abstract_init,
     abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
@@ -48,10 +50,12 @@ from ttpmem.ring import (
     partition_classes,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def test_exploration_reaches_the_settled_ring():
     g = explore(4, 2)
-    assert g.states[0].c_in == 4
+    assert g.states[0] == abstract_init(4)
     settled = [
         s for s in g.states
         if s.fault_seen and s.r == 2 and (s.c1 == 0 or s.c0 == 0)
@@ -69,6 +73,36 @@ def test_explored_paths_replay_from_the_start():
         assert len(path) <= len(g.states)
         if g.states[i].fault_seen:
             assert path[0] == "fault"
+
+
+# The explored graphs of each variant: (n, x), the numbers of states and
+# edges, and the breadth-first path of the last state found.  The fixture
+# was written by explored_graphs() from the automaton whose state also
+# carried the slot clocks tg/sg and c_in, so the pin holds the graphs to
+# that automaton's.
+GRAPH_VARIANTS = (
+    ("default", {}, range(3, 11)),
+    ("weak_gate", {"weak_gate": True}, range(3, 11)),
+    ("literal_guard", {"literal_guard": True}, range(3, 11)),
+    ("unstrengthened", {"strengthened": False}, range(3, 8)),
+)
+
+
+def explored_graphs() -> str:
+    lines = []
+    for name, flags, ns in GRAPH_VARIANTS:
+        for n in ns:
+            for x in range(1, n + 1):
+                g = explore(n, x, **flags)
+                assert all(s.r <= 2 for s in g.states)
+                lines.append(f"{name} n={n} x={x} states={len(g.states)} "
+                             f"edges={sum(map(len, g.edges))} "
+                             f"last={' '.join(g.path(len(g.states) - 1))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_explored_graphs_are_pinned():
+    assert explored_graphs() == (FIXTURES / "explored_graphs.txt").read_text()
 
 
 def test_x_value_scopes():
@@ -245,7 +279,7 @@ def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypa
 
     def skewed(ring):
         s = real(ring)
-        return replace(s, tg=s.tg + 1) if ring.slot == 2 and not s.fault_seen else s
+        return replace(s, cp=s.cp + 1) if ring.slot == 2 and not s.fault_seen else s
 
     monkeypatch.setattr(checker, "abstraction_map", skewed)
     [result] = cross_check([4])

@@ -127,6 +127,17 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
          "line 4", "fault gives accept= twice"),
         ("n = 4\nrounds = 2\nintegrate station=1 station=3 slot=4\n# end\n",
          "line 3", "integrate gives station= twice"),
+        # An accept list with an empty item or a repeated id.
+        ("n = 4\nrounds = 2\nfault slot=0 accept=1,,2\n# end\n",
+         "line 3", "accept list '1,,2' has an empty item"),
+        ("n = 4\nrounds = 2\nfault slot=0 accept=1,\n# end\n",
+         "line 3", "accept list '1,' has an empty item"),
+        ("n = 4\nrounds = 2\n\nfault slot=0 accept=,\n# end\n",
+         "line 4", "accept list ',' has an empty item"),
+        ("n = 4\nrounds = 2\nfault slot=0 accept=1,1\n# end\n",
+         "line 3", "accept list '1,1' names 1 twice"),
+        ("n = 4\nrounds = 2\nfault slot=0 accept=3,01\nfault slot=1 accept=2,3,2\n# end\n",
+         "line 4", "accept list '2,3,2' names 2 twice"),
         ("n = 4\nrounds = 3\nfault slot=4 accept=1\n\nfault slot=0 accept=1\n"
          "fault slot=4 accept=2\n# end\n",
          "line 6", "strictly increasing"),

@@ -279,6 +279,10 @@ def test_scenario_parse_errors_carry_line_numbers():
         parse_scenario("n = 4\nrounds = 2\nslots = 9\n")
     with pytest.raises(ScenarioError, match="line 3"):
         parse_scenario("n = 4\nrounds = 2\nfault slot=0 accept=a\n")
+    for accept, problem in (("1,,2", "has an empty item"), ("1,", "has an empty item"),
+                            (",", "has an empty item"), ("1,1", "names 1 twice")):
+        with pytest.raises(ScenarioError, match=f"^line 3: accept list '{accept}' {problem}$"):
+            parse_scenario(f"n = 4\nrounds = 2\nfault slot=0 accept={accept}\n")
     with pytest.raises(ScenarioError, match="line 4"):
         parse_scenario("n = 4\nrounds = 4\n# rejoin\nintegrate station=x slot=4\n")
     with pytest.raises(ScenarioError, match=r"line 3: unknown integrate argument\(s\) \['bogus'\]"):
@@ -305,8 +309,19 @@ def test_scenario_static_validation():
     warns = Scenario(
         n=4, rounds=6,
         faults=(FaultSpec(0, frozenset({2})), FaultSpec(9, frozenset())),
-    ).validate()
+    ).warnings
     assert any("exceeds one round" in w for w in warns)
+    # Gap warnings in fault order, then the horizon's.
+    warns = Scenario(
+        n=4, rounds=5,
+        faults=(FaultSpec(0, frozenset({2})), FaultSpec(9, frozenset()),
+                FaultSpec(14, frozenset())),
+    ).warnings
+    assert [w.split(";")[0] for w in warns] == [
+        "gap of 9 slots between faults at 0 and 9 exceeds one round",
+        "gap of 5 slots between faults at 9 and 14 exceeds one round",
+        "horizon ends 20 slots in",
+    ]
 
 
 def test_fault_on_silent_slot_is_rejected():
