@@ -33,7 +33,8 @@ properties actually depend on these details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from .ring import Ring
@@ -66,6 +67,12 @@ def _state(fields: Dict[str, object]) -> AbstractState:
     s = object.__new__(AbstractState)
     s.__dict__.update(fields)
     return s
+
+
+# The tuple of a state's field values in declaration order, however the
+# state was built: equal states, and only those, give equal keys, and the
+# tuple hashes in C where the dataclass's ``__hash__`` runs in Python.
+state_key = attrgetter(*(f.name for f in dataclass_fields(AbstractState)))
 
 
 @dataclass(frozen=True)

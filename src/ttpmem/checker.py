@@ -30,6 +30,12 @@ apart (``Ring.decisive_receivers``).  Siblings whose accept sets agree on
 them reach the same ring and tree, so only the first of them is forked and
 judged, and the others take its outcome.  On the fault-free ring every
 receiver is decisive, so single-fault chains never share.
+
+The simulation check maps the ring afresh at every slot, so it stays
+independent of the automaton it checks, but it reads the automaton's moves
+from a table that lives for one sweep: ``abstract_successors`` is a pure
+function of the state and inputs, and a sweep meets few distinct ones (928
+over the 17,384 slots of n=3..7).
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .abstraction import (
     abstract_successors,
     abstraction_map,
     conserves_population,
+    state_key,
 )
 from .kfault import CounterTree, counting_gate_checks
 from .kfault import tree_gate_checks  # noqa: F401  (bench/spans.py patches it here)
@@ -319,23 +326,36 @@ def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
 Mismatches = Dict[str, Tuple[str, str]]  # check -> (witness line, detail)
 
 
+# One sweep's abstract moves: the (state key, g, x) of a pre-state and its
+# inputs -> the frozenset of (post key, emits) of the automaton's successors.
+Moves = Dict[tuple, frozenset]
+
+
 @dataclass(slots=True)
 class _Path:
     """One ring of the depth-first walk over fault chains, with what watches
     it slot by slot: the counter tree, fed each event as it happens and
     compared at each gate (CA); for a single fault the abstraction's state
     before the next slot (SIM); and the first mismatch of each check met on
-    this path, as (witness line, detail).  A fork copies all of it, so a
-    slot that several chains share is run and judged once."""
+    this path, as (witness line, detail).  A fork copies all of it but the
+    move table, which every path of a sweep shares, so a slot that several
+    chains share is run and judged once.
+
+    SIM maps the ring afresh at every slot and looks the step up in the move
+    table, which holds what ``abstract_successors`` gave for each (state,
+    inputs) the sweep has met.  That function is pure and a sweep has one
+    gate, so the table only saves asking it twice; the map is never carried
+    along, so SIM stays independent of the automaton it checks."""
 
     ring: Ring
     tree: Optional[CounterTree] = None
     pre: Optional[AbstractState] = None
     bad: Mismatches = field(default_factory=dict)
+    moves: Moves = field(default_factory=dict)
 
     def fork(self, fault: FaultSpec) -> "_Path":
         return _Path(self.ring.fork(fault), self.tree and self.tree.fork(),
-                     self.pre, dict(self.bad))
+                     self.pre, dict(self.bad), self.moves)
 
     def advance(self) -> None:
         ring = self.ring
@@ -349,10 +369,13 @@ class _Path:
         if self.pre is not None:
             post = abstraction_map(ring)
             inp = abstract_inputs_for_slot(ring, ev.slot)
-            if not any(
-                tr.post == post and tr.emits == ev.emitted
-                for tr in abstract_successors(self.pre, inp, weak_gate=ring.weak_gate)
-            ):
+            at = (state_key(self.pre), inp.g, inp.x)
+            moves = self.moves.get(at)
+            if moves is None:
+                moves = self.moves[at] = frozenset(
+                    (state_key(tr.post), tr.emits)
+                    for tr in abstract_successors(self.pre, inp, weak_gate=ring.weak_gate))
+            if (state_key(post), ev.emitted) not in moves:
                 self.bad["SIM"] = (f"slot {ev.slot}",
                                    f"no abstract step {self.pre} -> {post} (inputs {inp})")
                 post = None  # the path's first SIM failure is all it reports

@@ -53,8 +53,8 @@ EXIT_CAP = 3
 
 def _load_scenario(path: str) -> Scenario:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read scenario {path}: {e}") from None
     return parse_scenario(text)
 

@@ -82,6 +82,19 @@ MUTANTS = [
      "map: frames sent booked to the other class's d"),
     ("abstraction.py", "sigma <= fault_slot + n:", "sigma < fault_slot + n:",
      "map: a convicted sender unbooked one slot before its own"),
+    ("checker.py", "at = (state_key(self.pre), inp.g, inp.x)", "at = state_key(self.pre)",
+     "SIM's move table keyed without the inputs"),
+    ("checker.py", "moves: Moves = field(default_factory=dict)",
+     'moves: Moves = field(default_factory=lambda: globals().setdefault("_MOVES", {}))',
+     "SIM's move table outlives its sweep"),
+    ("ring.py", "if ((receive_step(clean, frame, True), clean)\n"
+     "                        != (receive_step(corrupted, frame, False), corrupted)):",
+     "if receive_step(clean, frame, True) != receive_step(corrupted, frame, False):",
+     "decisive receivers: only the receive events compared"),
+    ("ring.py", "if key in args:\n"
+     '            raise ScenarioError(f"line {lineno}: {keyword} gives {key}= twice")\n'
+     "        args[key] = value", "args[key] = value",
+     "parser: a key given twice in a directive, the last value wins"),
 ]
 
 

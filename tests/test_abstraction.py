@@ -21,6 +21,7 @@ from ttpmem.abstraction import (
     abstract_successors,
     abstraction_map,
     conserves_population,
+    state_key,
 )
 from ttpmem.checker import explore, kfault_scenarios
 from ttpmem.ring import FaultSpec, IntegrationSpec, Ring, Scenario
@@ -235,6 +236,16 @@ def test_states_built_in_place_are_whole_and_hash_like_constructed_ones():
         assert 0 <= s.r <= 2, s
         built = AbstractState(**vars(s))
         assert s == built and hash(s) == hash(built), s
+        # SIM's move table is keyed by value tuples: whatever order a state's
+        # fields were filled in, equal states share a key
+        shuffled = _state(dict(reversed(vars(s).items())))
+        assert state_key(s) == state_key(built) == state_key(shuffled), s
+    for n in range(3, 7):
+        init = abstract_init(n)
+        assert state_key(init) == state_key(_state(vars(init))) == state_key(
+            AbstractState(**vars(init)))
+    # and unequal states never do
+    assert len({state_key(s) for s in states}) == len(set(states))
 
 
 # The automaton as first written: one branch per transition, each testing its

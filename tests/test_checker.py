@@ -95,6 +95,8 @@ def explored_graphs() -> str:
             for x in range(1, n + 1):
                 g = explore(n, x, **flags)
                 assert all(s.r <= 2 for s in g.states)
+                # a round's slots so far are its frames sent plus its silent slots
+                assert all(s.d0 + s.d1 + s.df == s.cp for s in g.states if s.fault_seen)
                 lines.append(f"{name} n={n} x={x} states={len(g.states)} "
                              f"edges={sum(map(len, g.edges))} "
                              f"last={' '.join(g.path(len(g.states) - 1))}")
@@ -375,3 +377,62 @@ def test_accept_sets_step_alike_exactly_when_they_agree_on_the_decisive_receiver
 def _ring_state(ring):
     return ([astuple(st) for st in ring.stations], list(ring.labels), list(ring.events),
             ring.slot, ring.last_frame, list(ring.warnings))
+
+
+def test_each_single_fault_sweep_asks_the_automaton_once_per_distinct_step(monkeypatch):
+    # SIM looks each slot's step up in the sweep's move table and asks
+    # abstract_successors only for a (state, inputs) it has not met, while
+    # the ring is still mapped afresh at every slot (one root map per
+    # sweep, one per slot).  Every mapped post-fault state spends each slot
+    # of its round on a frame or a silence.
+    successors, mapped = checker.abstract_successors, checker.abstraction_map
+    calls = {"successors": 0, "map": 0}
+
+    def counted_successors(*args, **kwargs):
+        calls["successors"] += 1
+        return successors(*args, **kwargs)
+
+    def checked_map(ring):
+        calls["map"] += 1
+        s = mapped(ring)
+        assert not s.fault_seen or s.d0 + s.d1 + s.df == s.cp, s
+        return s
+
+    monkeypatch.setattr(checker, "abstract_successors", counted_successors)
+    monkeypatch.setattr(checker, "abstraction_map", checked_map)
+    for gate, n, asked, slots in (
+        ("strict", 3, 36, 134), ("strict", 4, 78, 467), ("strict", 5, 146, 1444),
+        ("strict", 6, 272, 4133), ("strict", 7, 396, 11206),
+        ("weak", 4, 75, 467), ("weak", 5, 146, 1444),
+    ):
+        calls.update(successors=0, map=0)
+        [result] = cross_check([n], gate=gate)
+        assert (calls["successors"], calls["map"]) == (asked, slots + 1), (gate, n)
+        assert next(v for v in result.verdicts if v.prop == "SIM").holds
+
+
+def broken_rule_sweeps() -> str:
+    """The report lines and witnesses of the k=1 sweeps for n=3..6 with the
+    ``r0_send_later_round`` successors dropped from the automaton, strict
+    gate then weak."""
+    lines = []
+    for gate in ("strict", "weak"):
+        for result in cross_check(range(3, 7), gate=gate):
+            for v in result.verdicts:
+                lines += [f"{gate} {v.report_line()}", *(f"  {w}" for w in v.witness)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_broken_rule_still_shows_after_a_clean_sweep(monkeypatch):
+    # A clean sweep first: were its moves kept past the sweep, the broken
+    # automaton's sweeps below would be judged against them and pass.  The
+    # fixture was written by broken_rule_sweeps() from the checker that
+    # asked the automaton at every slot.
+    assert all(v.holds for r in cross_check(range(3, 7)) for v in r.verdicts)
+    successors = checker.abstract_successors
+
+    def broken(*args, **kwargs):
+        return [t for t in successors(*args, **kwargs) if t.name != "r0_send_later_round"]
+
+    monkeypatch.setattr(checker, "abstract_successors", broken)
+    assert broken_rule_sweeps() == (FIXTURES / "broken_rule_sweeps.txt").read_text()

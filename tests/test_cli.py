@@ -173,6 +173,18 @@ def test_invalid_scenarios_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_an_unreadable_scenario_exits_two_naming_the_file(tmp_path, capsys):
+    binary = tmp_path / "bad.scn"
+    binary.write_bytes(b"\xff\xfe n = 4\n")
+    for path, reason in ((binary, "'utf-8' codec can't decode byte 0xff"),
+                         (tmp_path / "absent.scn", "No such file or directory")):
+        for verb in ("simulate", "partition", "kfault-oracle"):
+            code, out, err = run(capsys, verb, "--scenario", str(path))
+            assert code == 2 and out == "", (verb, path)
+            assert err.startswith(f"error: cannot read scenario {path}: "), (verb, err)
+            assert reason in err, (verb, err)
+
+
 def test_a_horizon_over_the_budget_exits_three_before_any_slot_runs(tmp_path, capsys):
     # 1.6e9 station-slots: hours of running, were it not refused up front.
     scn = tmp_path / "long.scn"
