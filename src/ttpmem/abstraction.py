@@ -10,7 +10,9 @@ silently, cp = slots elapsed in the round, r = rounds completed since the
 fault, kept as 0, 1 or 2 (= two or more), the only distinctions the rules
 draw.  The graph is therefore finite by construction.  One abstract
 transition corresponds to one slot of the concrete ring; the slot owner's
-class is the nondeterminism.
+class is the nondeterminism.  States, inputs and transitions are named
+tuples: a state is its vector of counters and flags, and it hashes and
+compares as that tuple.
 
 Inputs per step: ``x`` (when at least 1, the asymmetric fault strikes now,
 splitting the ring into x vouchers and n-x rejecters), and ``g`` (at the
@@ -33,15 +35,12 @@ properties actually depend on these details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
-from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import List, NamedTuple, Optional
 
 from .ring import Ring
 
 
-@dataclass(frozen=True)
-class AbstractState:
+class AbstractState(NamedTuple):
     n: int
     c0: int     # active rejecters of the faulty frame
     c1: int     # active vouchers (the faulty sender included)
@@ -58,27 +57,15 @@ class AbstractState:
         return self.c0 + self.c1 + self.cf
 
 
-def _state(fields: Dict[str, object]) -> AbstractState:
-    """An ``AbstractState`` holding ``fields``, which must name every field.
-    The SIM check builds one per slot and per successor, and filling the
-    instance's dict costs a fraction of the frozen ``__init__`` (one
-    ``object.__setattr__`` per field); the result equals and hashes like a
-    constructed state."""
-    s = object.__new__(AbstractState)
-    s.__dict__.update(fields)
-    return s
-
-
-# The tuple of a state's field values in declaration order, however the
-# state was built: equal states, and only those, give equal keys, and the
-# tuple hashes in C where the dataclass's ``__hash__`` runs in Python.
-state_key = attrgetter(*(f.name for f in dataclass_fields(AbstractState)))
-
-
-@dataclass(frozen=True)
-class AbstractInputs:
+class AbstractInputs(NamedTuple):
     g: bool = False
     x: int = 0  # vouchers the fault creates now (sender included), 1..n; 0: no fault
+
+
+# The inputs of every slot but the fault slot and the faulty sender's next
+# own one; records are immutable, so these are shared.
+NO_INPUT = AbstractInputs()
+G_INPUT = AbstractInputs(g=True)
 
 
 def abstract_init(n: int) -> AbstractState:
@@ -91,8 +78,7 @@ def abstract_init(n: int) -> AbstractState:
     )
 
 
-@dataclass(frozen=True)
-class AbstractTransition:
+class AbstractTransition(NamedTuple):
     name: str
     emits: bool
     post: AbstractState
@@ -109,11 +95,11 @@ def abstract_successors(
     """All slot-steps enabled at ``s`` under the given inputs: at most one
     for each class that owns stations, rejecters first, then vouchers, then
     failed stations."""
-    base = s.__dict__
+    base = s._asdict()
     out: List[AbstractTransition] = []
 
     def add(name: str, emits: bool, **changes) -> None:
-        out.append(AbstractTransition(name, emits, _state({**base, **changes})))
+        out.append(AbstractTransition(name, emits, s._replace(**changes)))
 
     # -- before the fault ---------------------------------------------------
     if not s.fault_seen:
@@ -254,19 +240,18 @@ def abstraction_map(ring: Ring) -> AbstractState:
         else:
             d0 += 1
 
-    return _state({
-        "n": n, "c0": c0, "c1": c1, "cf": cf,
-        "cp": cp + 1, "r": min(r, 2), "d0": d0, "d1": d1, "df": df,
-        "fault_seen": True, "g_exit": exit_slot is not None and sigma > fault_slot + n,
-    })
+    return AbstractState(
+        n=n, c0=c0, c1=c1, cf=cf, cp=cp + 1, r=min(r, 2), d0=d0, d1=d1, df=df,
+        fault_seen=True, g_exit=exit_slot is not None and sigma > fault_slot + n,
+    )
 
 
 def abstract_inputs_for_slot(ring: Ring, slot: int) -> AbstractInputs:
     """Inputs the abstract automaton consumes for the ring's given slot."""
     fault_slot = _fault_slot(ring)
     if fault_slot is None or slot < fault_slot:
-        return AbstractInputs()
+        return NO_INPUT
     if slot == fault_slot:
         return AbstractInputs(x=1 + len(ring.events[fault_slot].accepted))
     g = slot == fault_slot + ring.n and _sender_exit(ring, fault_slot) is not None
-    return AbstractInputs(g=g)
+    return G_INPUT if g else NO_INPUT

@@ -33,9 +33,9 @@ receiver is decisive, so single-fault chains never share.
 
 The simulation check maps the ring afresh at every slot, so it stays
 independent of the automaton it checks, but it reads the automaton's moves
-from a table that lives for one sweep: ``abstract_successors`` is a pure
-function of the state and inputs, and a sweep meets few distinct ones (928
-over the 17,384 slots of n=3..7).
+from a table that lives for one sweep, keyed on the (state, inputs) pairs
+themselves: ``abstract_successors`` is a pure function of them, and a sweep
+meets few distinct ones (928 over the 17,384 slots of n=3..7).
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from itertools import combinations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .abstraction import (
+    G_INPUT,
+    NO_INPUT,
     AbstractInputs,
     AbstractState,
     abstract_init,
@@ -52,7 +54,6 @@ from .abstraction import (
     abstract_successors,
     abstraction_map,
     conserves_population,
-    state_key,
 )
 from .kfault import CounterTree, counting_gate_checks
 from .kfault import tree_gate_checks  # noqa: F401  (bench/spans.py patches it here)
@@ -71,6 +72,10 @@ from .ring import (
 
 # Chains a k >= 3 sweep runs when no run budget is given.
 SAMPLE_CHAINS = 100
+
+# Runs a k <= 2 sweep may make per ring size when no run budget is given:
+# k=2 at n=8 (720,832 chains) fits, k=1 from n=17 (n * 2**(n-1) chains) does not.
+RUN_BUDGET = 1_000_000
 
 
 # -- abstract state-space exploration -----------------------------------------
@@ -117,6 +122,7 @@ def explore(
         raise ValueError(f"the state budget must be at least 1, got {max_states}")
     flags = dict(weak_gate=weak_gate, strengthened=strengthened,
                  literal_guard=literal_guard)
+    fault_input = (AbstractInputs(x=x),)
     g = StateGraph(n, x)
     g.add(abstract_init(n))
     frontier = [0]
@@ -128,13 +134,8 @@ def explore(
         nxt: List[int] = []
         for i in frontier:
             s = g.states[i]
-            if s.fault_seen:
-                input_choices: Iterable[AbstractInputs] = (
-                    AbstractInputs(g=False), AbstractInputs(g=True))
-            else:
-                input_choices = (AbstractInputs(x=x),)
             seen_here = set()
-            for inp in input_choices:
+            for inp in (NO_INPUT, G_INPUT) if s.fault_seen else fault_input:
                 for tr in abstract_successors(s, inp, **flags):
                     post = tr.post
                     if (tr.name, post) in seen_here:
@@ -326,9 +327,9 @@ def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
 Mismatches = Dict[str, Tuple[str, str]]  # check -> (witness line, detail)
 
 
-# One sweep's abstract moves: the (state key, g, x) of a pre-state and its
-# inputs -> the frozenset of (post key, emits) of the automaton's successors.
-Moves = Dict[tuple, frozenset]
+# One sweep's abstract moves: a pre-state and its inputs -> the frozenset of
+# (post-state, emits) of the automaton's successors.
+Moves = Dict[Tuple[AbstractState, AbstractInputs], frozenset]
 
 
 @dataclass(slots=True)
@@ -369,13 +370,13 @@ class _Path:
         if self.pre is not None:
             post = abstraction_map(ring)
             inp = abstract_inputs_for_slot(ring, ev.slot)
-            at = (state_key(self.pre), inp.g, inp.x)
+            at = (self.pre, inp)
             moves = self.moves.get(at)
             if moves is None:
                 moves = self.moves[at] = frozenset(
-                    (state_key(tr.post), tr.emits)
+                    (tr.post, tr.emits)
                     for tr in abstract_successors(self.pre, inp, weak_gate=ring.weak_gate))
-            if (state_key(post), ev.emitted) not in moves:
+            if (post, ev.emitted) not in moves:
                 self.bad["SIM"] = (f"slot {ev.slot}",
                                    f"no abstract step {self.pre} -> {post} (inputs {inp})")
                 post = None  # the path's first SIM failure is all it reports
@@ -450,7 +451,11 @@ def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
         yield sc
 
 
-def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
+def _over_budget(n: int, k: int, max_runs: int) -> ResourceCap:
+    return ResourceCap(f"{k}-fault sweep for n={n} exceeded the budget of {max_runs} runs")
+
+
+def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     """Run every chain of ``kfault_scenarios(n, k)`` and judge convergence
     two rounds after the last fault (NC) and the counter tree at every gate
     (CA); single-fault runs go on to the horizon and are also judged by the
@@ -458,8 +463,7 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     (SIM).  A mismatch on a prefix that chains share (see ``_chains``) is
     reported against the first chain, in enumeration order, through it.
     Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
-    raises; beyond, the first ``max_runs`` (default ``SAMPLE_CHAINS``)
-    chains are run.
+    raises; beyond, the first ``max_runs`` chains are run.
 
     Siblings (chains of one fork: the same earlier faults and the same last
     fault slot, in a row in the walk) whose accept sets agree on that
@@ -472,19 +476,14 @@ def _sweep(n: int, k: int, max_runs: Optional[int], gate: str) -> SweepResult:
     single fault's tail, which reads the whole history (the counting
     oracle, the abstraction's inputs), is never shared."""
     exhaustive = k <= 2
-    if not exhaustive and max_runs is None:
-        max_runs = SAMPLE_CHAINS
     runs = degenerate = round1_splits = shared_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
     ring = _root(n, k, gate)
     root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
     for sc, path, outcome in _chains(root, k):
-        if max_runs is not None and runs >= max_runs:
+        if runs >= max_runs:
             if exhaustive:
-                raise ResourceCap(
-                    f"{k}-fault sweep for n={n} exceeded the budget of "
-                    f"{max_runs} runs"
-                )
+                raise _over_budget(n, k, max_runs)
             break
         runs += 1
         if path is None:  # an earlier sibling's tail stands for this chain
@@ -547,9 +546,21 @@ def cross_check(
     max_runs: Optional[int] = None,
     gate: str = "strict",
 ) -> List[SweepResult]:
-    """The concrete fault-chain sweep for each ring size; see ``_sweep``."""
+    """The concrete fault-chain sweep for each ring size; see ``_sweep``.
+    Without ``max_runs`` a k <= 2 sweep may make ``RUN_BUDGET`` runs per
+    ring size and a larger k samples ``SAMPLE_CHAINS`` chains.  A single
+    fault has exactly n * 2**(n-1) chains, so a ring size whose count
+    exceeds the budget is refused before any ring runs."""
     if k < 1:
         raise ValueError(f"need at least one fault, got k={k}")
-    if max_runs is not None and max_runs < 1:
+    if max_runs is None:
+        max_runs = RUN_BUDGET if k <= 2 else SAMPLE_CHAINS
+    elif max_runs < 1:
         raise ValueError(f"the run budget must be at least 1, got {max_runs}")
+    # n << (n-1) is the k=1 chain count, and past the budget's bit length
+    # 2**(n-1) alone exceeds it; a ring under 3 is left to Scenario.validate.
+    over = [n for n in n_values if k == 1 and n > 2 and (
+        n > max_runs.bit_length() or n << (n - 1) > max_runs)]
+    if over:
+        raise _over_budget(over[0], k, max_runs)
     return [_sweep(n, k, max_runs, gate) for n in n_values]

@@ -32,8 +32,7 @@ running ring forks with it, so a sweep feeds each shared prefix once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ring import Ring, SlotEvent
 
@@ -223,8 +222,7 @@ class CounterTree:
         return names
 
 
-@dataclass(frozen=True)
-class GateCheck:
+class GateCheck(NamedTuple):
     slot: int
     sid: int
     predicted: Tuple[int, int]

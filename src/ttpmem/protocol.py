@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class SoundnessError(RuntimeError):
@@ -92,8 +92,7 @@ class CheckOutcome(Enum):
     LEAVE = "leave"                 # both successors rejected me: I am send-faulty
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     sender: StationId
     vector: MembershipVector
 
@@ -163,7 +162,7 @@ def begin_emission(st: StationState) -> Frame:
     st.fail = 0
     st.check = CheckPhase.AWAIT_FIRST
     st.first_succ = None
-    return Frame(sender=st.sid, vector=st.member)
+    return Frame(st.sid, st.member)
 
 
 def leave_active(st: StationState) -> None:

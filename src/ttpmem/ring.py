@@ -33,7 +33,7 @@ Trace format (one line per slot, fixed field order)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .protocol import (
     Frame,
@@ -299,8 +299,7 @@ def _copy(st: StationState) -> StationState:
                         st.first_succ, st.listen_from)
 
 
-@dataclass(frozen=True)
-class SlotEvent:
+class SlotEvent(NamedTuple):
     """One slot of the run's history, and the only per-slot log the ring
     keeps: everything the counting oracles and the abstraction map are
     allowed to see (no station-internal counters except the gate operands
@@ -447,13 +446,10 @@ class Ring:
             # re-entry frame have restored the sender's bit.
             self._adopt_label(owner)
 
-        # Filled in directly: the frozen __init__ spends a setattr per field.
-        event = object.__new__(SlotEvent)
-        event.__dict__.update(
-            slot=t, owner=owner.sid, owner_loc=owner_loc._value_,
-            emitted=frame is not None, gate=gate_vals, departed=tuple(departed),
-            accepted=tuple(sorted(accepted)) if fault is not None else None)
-        self.events.append(event)
+        # Positional, in field order: with keywords the constructor takes 1.5x as long.
+        self.events.append(SlotEvent(
+            t, owner.sid, owner_loc._value_, frame is not None, gate_vals, tuple(departed),
+            tuple(sorted(accepted)) if fault is not None else None))
         if self.record:
             self.records.append(_snapshot(stations))
         self.slot += 1

@@ -1,11 +1,13 @@
 """Mutation checks: do the tests notice a one-line fault in ``src/``?
 
-Each mutant below replaces one piece of text in one source file.  For each,
-the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, checks that the old text occurs exactly once, applies the mutant
-there and runs one ``pytest -x`` on a fast selection of tests (about 20 s on
-a 2-vCPU host).  A failing run kills the mutant; a passing one lets it
-survive.  The unmutated copy is run first and must pass.
+Each mutant below replaces one piece of text in one source file.  The runner
+first checks, for every chosen mutant, that the old text occurs exactly once
+and that the mutated file still compiles: a mutant that does not would be
+killed by any import, whatever the tests check.  For each mutant it then
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+applies the mutant there and runs one ``pytest -x`` on a fast selection of
+tests (about 20 s on a 2-vCPU host).  A failing run kills the mutant; a
+passing one lets it survive.  The unmutated copy is run first and must pass.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py 3 7        # mutants 3 and 7 only
@@ -13,7 +15,8 @@ survive.  The unmutated copy is run first and must pass.
 Standard library only.  Pytest does not collect this file, and it is not
 part of the tier-1 suite.  Exit code: 0 when every mutant is killed, 1 when
 one survives, 2 when a mutant number is unknown, a mutant's old text does
-not occur exactly once, or the unmutated selection fails.
+not occur exactly once, a mutated file does not compile, or the unmutated
+selection fails.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ MUTANTS = [
      "fault-round gate: each foreign frame counted once, not twice"),
     ("abstraction.py", "r_next = min(s.r + 1, 2)", "r_next = min(s.r + 1, 3)",
      "rollover rules: r kept up to 3, not 2"),
-    ("abstraction.py", '"r": min(r, 2)', '"r": r',
+    ("abstraction.py", "r=min(r, 2)", "r=r",
      "map: r left unbounded"),
     ("abstraction.py", "s.g_exit and s.cp in (1, 2)", "s.g_exit and s.cp == 1",
      "refined guard: only the first slot after a g-exit barred"),
@@ -82,7 +85,7 @@ MUTANTS = [
      "map: frames sent booked to the other class's d"),
     ("abstraction.py", "sigma <= fault_slot + n:", "sigma < fault_slot + n:",
      "map: a convicted sender unbooked one slot before its own"),
-    ("checker.py", "at = (state_key(self.pre), inp.g, inp.x)", "at = state_key(self.pre)",
+    ("checker.py", "at = (self.pre, inp)", "at = self.pre",
      "SIM's move table keyed without the inputs"),
     ("checker.py", "moves: Moves = field(default_factory=dict)",
      'moves: Moves = field(default_factory=lambda: globals().setdefault("_MOVES", {}))',
@@ -95,6 +98,17 @@ MUTANTS = [
      '            raise ScenarioError(f"line {lineno}: {keyword} gives {key}= twice")\n'
      "        args[key] = value", "args[key] = value",
      "parser: a key given twice in a directive, the last value wins"),
+    ("checker.py", "(tr.post, tr.emits)", "(tr.post, ev.emitted)",
+     "SIM tests a step's post-state without whether it emits"),
+    ("abstraction.py", "return AbstractInputs(x=1 + len(ring.events[fault_slot].accepted))",
+     "return NO_INPUT", "map: the fault slot's inputs are the shared no-input"),
+    ("abstraction.py", "return G_INPUT if g else NO_INPUT", "return NO_INPUT",
+     "map: the faulty sender's silent exit never raises g"),
+    ("checker.py", "n << (n - 1) > max_runs", "n << (n - 2) > max_runs",
+     "budget: a single fault's chains counted at half"),
+    ("checker.py", "max_runs = RUN_BUDGET if k <= 2 else SAMPLE_CHAINS",
+     "max_runs = 10 * RUN_BUDGET if k <= 2 else SAMPLE_CHAINS",
+     "budget: a k <= 2 sweep's default ten times RUN_BUDGET"),
 ]
 
 
@@ -116,17 +130,35 @@ def copy_tree(dest: Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", dest)
 
 
-def main(argv: list) -> int:
-    chosen = [int(a) for a in argv] or list(range(1, len(MUTANTS) + 1))
+def mutated_files(chosen: list) -> dict:
+    """The text of each chosen mutant's file with the mutant applied, by
+    mutant number.  Raises ValueError naming the first mutant that is
+    unknown, whose old text does not occur exactly once in its file, or
+    whose mutated file does not compile."""
+    texts = {}
     for i in chosen:
         if not 1 <= i <= len(MUTANTS):
-            print(f"no mutant {i}: they are numbered 1..{len(MUTANTS)}")
-            return 2
-        path, old, _new, _why = MUTANTS[i - 1]
-        count = (ROOT / "src/ttpmem" / path).read_text().count(old)
+            raise ValueError(f"no mutant {i}: they are numbered 1..{len(MUTANTS)}")
+        path, old, new, _why = MUTANTS[i - 1]
+        text = (ROOT / "src/ttpmem" / path).read_text()
+        count = text.count(old)
         if count != 1:
-            print(f"mutant {i}: {path} holds its old text {count} times, not once")
-            return 2
+            raise ValueError(f"mutant {i}: {path} holds its old text {count} times, not once")
+        texts[i] = text.replace(old, new)
+        try:
+            compile(texts[i], path, "exec")
+        except SyntaxError as e:
+            raise ValueError(f"mutant {i}: {path} does not compile once mutated: {e}") from None
+    return texts
+
+
+def main(argv: list) -> int:
+    chosen = [int(a) for a in argv] or list(range(1, len(MUTANTS) + 1))
+    try:
+        texts = mutated_files(chosen)
+    except ValueError as e:
+        print(e)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp, "base")
         copy_tree(base)
@@ -136,12 +168,11 @@ def main(argv: list) -> int:
     survived = 0
     print(f"{'#':>2}  {'result':<8} {'secs':>5}  {'file':<14} mutant")
     for i in chosen:
-        path, old, new, why = MUTANTS[i - 1]
+        path, _old, _new, why = MUTANTS[i - 1]
         with tempfile.TemporaryDirectory() as tmp:
             tree = Path(tmp)
             copy_tree(tree)
-            target = tree / "src/ttpmem" / path
-            target.write_text(target.read_text().replace(old, new))
+            (tree / "src/ttpmem" / path).write_text(texts[i])
             start = time.perf_counter()
             killed = not run_selection(tree)
         survived += not killed

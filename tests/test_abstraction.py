@@ -7,7 +7,6 @@ the slot outcomes of the current round) before running the map.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
 from itertools import product
 from typing import List
 
@@ -15,13 +14,11 @@ from ttpmem.abstraction import (
     AbstractInputs,
     AbstractState,
     AbstractTransition,
-    _state,
     abstract_init,
     abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
     conserves_population,
-    state_key,
 )
 from ttpmem.checker import explore, kfault_scenarios
 from ttpmem.ring import FaultSpec, IntegrationSpec, Ring, Scenario
@@ -90,7 +87,7 @@ def test_g_input_turns_voucher_rollover_into_exit():
 
 
 def test_failed_voucher_rollover_still_records_g():
-    weak_voucher = replace(BOUNDARY, c0=2, c1=1, cf=1, d0=1, d1=1)
+    weak_voucher = BOUNDARY._replace(c0=2, c1=1, cf=1, d0=1, d1=1)
     out = abstract_successors(weak_voucher, AbstractInputs(g=True))
     t = next(t for t in out if t.name == "r1_fail_rollover")
     assert t.post.g_exit and t.post.c1 == 0
@@ -98,7 +95,7 @@ def test_failed_voucher_rollover_still_records_g():
 
 def test_budget_guard_stops_extra_sends():
     # both rejecters already sent this round: no further rejecter slot
-    s = replace(BOUNDARY, cp=3, c0=2, c1=1, cf=1, d0=2, d1=1, df=0)
+    s = BOUNDARY._replace(cp=3, c0=2, c1=1, cf=1, d0=2, d1=1, df=0)
     out = abstract_successors(s, AbstractInputs())
     assert all(not t.name.startswith("r0_") for t in out)
     relaxed = abstract_successors(s, AbstractInputs(), strengthened=False)
@@ -210,10 +207,9 @@ def test_map_is_undefined_beyond_its_scope():
         pass
 
 
-def test_states_built_in_place_are_whole_and_hash_like_constructed_ones():
-    # The successors and the map fill a state's fields directly instead of
-    # calling the constructor; a field that one of them leaves out (one added
-    # later with a default, say) must not go unnoticed.
+def test_successor_and_mapped_states_keep_r_within_its_bound():
+    # The rules and the map both bound r at 2 (= two or more rounds); a
+    # state past it would make the explored graph grow with the horizon.
     states = []
     for n in range(3, 7):
         for x in range(1, n + 1):
@@ -230,22 +226,8 @@ def test_states_built_in_place_are_whole_and_hash_like_constructed_ones():
             while ring.slot < sc.total_slots:
                 ring.step()
                 states.append(abstraction_map(ring))
-    names = {f.name for f in fields(AbstractState)}
     for s in states:
-        assert set(vars(s)) == names, s
         assert 0 <= s.r <= 2, s
-        built = AbstractState(**vars(s))
-        assert s == built and hash(s) == hash(built), s
-        # SIM's move table is keyed by value tuples: whatever order a state's
-        # fields were filled in, equal states share a key
-        shuffled = _state(dict(reversed(vars(s).items())))
-        assert state_key(s) == state_key(built) == state_key(shuffled), s
-    for n in range(3, 7):
-        init = abstract_init(n)
-        assert state_key(init) == state_key(_state(vars(init))) == state_key(
-            AbstractState(**vars(init)))
-    # and unequal states never do
-    assert len({state_key(s) for s in states}) == len(set(states))
 
 
 # The automaton as first written: one branch per transition, each testing its
@@ -271,11 +253,10 @@ def reference_successors(
     def exhausted(d: int, c: int) -> bool:
         return d == c if strengthened else True
 
-    base = s.__dict__
     out: List[AbstractTransition] = []
 
     def add(name: str, emits: bool, **changes) -> None:
-        out.append(AbstractTransition(name, emits, _state({**base, **changes})))
+        out.append(AbstractTransition(name, emits, s._replace(**changes)))
 
     # -- before the fault ---------------------------------------------------
     if not s.fault_seen:
@@ -364,7 +345,7 @@ def test_successors_match_the_reference_rules_exhaustively():
             for s in explore(n, x, **flags).states:
                 inputs = ((AbstractInputs(g=False), AbstractInputs(g=True)) if s.fault_seen
                           else (AbstractInputs(x=x),))
-                states = [replace(s, r=r) for r in range(3)]
+                states = [s._replace(r=r) for r in range(3)]
                 for state, inp in product(states, inputs):
                     assert abstract_successors(state, inp, **flags) == \
                         reference_successors(state, inp, **flags), (state, inp, flags)

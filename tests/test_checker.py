@@ -15,7 +15,7 @@ boundary-scoped properties survive.
 
 from __future__ import annotations
 
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from itertools import islice
 from pathlib import Path
 
@@ -258,6 +258,43 @@ def test_two_fault_sweep_respects_its_budget():
         cross_check([5], k=2, max_runs=10)
 
 
+def _count_steps(monkeypatch):
+    """Ring.step calls from now on; the first one also raises, so that a
+    sweep that should not have started fails at once."""
+    steps = []
+
+    def step(ring):
+        steps.append(ring.slot)
+        raise AssertionError("a ring stepped")
+
+    monkeypatch.setattr(Ring, "step", step)
+    return steps
+
+
+def test_a_single_fault_sweep_over_its_budget_is_refused_before_any_ring_runs(monkeypatch):
+    # A single fault has n * 2**(n-1) chains: 32 at n=4, and 1,114,112 at
+    # n=17, over the default budget of a million runs.
+    steps = _count_steps(monkeypatch)
+    for ns, max_runs, message in (
+        ([17], None, "n=17 exceeded the budget of 1000000 runs"),
+        ([3, 40], None, "n=40 exceeded"),  # 2**39 alone is over the budget
+        ([3, 4, 5], 31, "n=4 exceeded the budget of 31 runs"),
+    ):
+        with pytest.raises(ResourceCap, match=message):
+            cross_check(ns, k=1, max_runs=max_runs)
+    assert steps == []
+    monkeypatch.undo()
+    assert [r.runs for r in cross_check([4], k=1, max_runs=32)] == [32]
+
+
+def test_a_two_fault_sweep_over_the_default_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(checker, "RUN_BUDGET", 663)
+    with pytest.raises(ResourceCap, match="n=4 exceeded the budget of 663 runs"):
+        cross_check([4], k=2)
+    monkeypatch.setattr(checker, "RUN_BUDGET", 664)
+    assert [r.runs for r in cross_check([4], k=2)] == [664]
+
+
 def test_sample_order_and_witness_of_the_three_fault_sweep():
     # The first chains of the walk are sampled in enumeration order; the
     # 125th is the first whose counter tree mispredicts (a recorded k=3
@@ -281,7 +318,7 @@ def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypa
 
     def skewed(ring):
         s = real(ring)
-        return replace(s, cp=s.cp + 1) if ring.slot == 2 and not s.fault_seen else s
+        return s._replace(cp=s.cp + 1) if ring.slot == 2 and not s.fault_seen else s
 
     monkeypatch.setattr(checker, "abstraction_map", skewed)
     [result] = cross_check([4])

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import ttpmem.checker as checker
 from ttpmem.cli import main
-from ttpmem.ring import HORIZON_BUDGET, ResourceCap, Scenario
+from ttpmem.ring import HORIZON_BUDGET, ResourceCap, Ring, Scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -337,6 +338,21 @@ def test_cross_check_budget_exits_three(capsys):
                            "--max-runs", "10")
         assert code == 3, f"k={k}"
         assert "budget" in err
+
+
+def test_cross_check_without_a_budget_exits_three_on_a_sweep_over_a_million_runs(
+        capsys, monkeypatch):
+    # k=1 at n=40 has 40 * 2**39 chains: refused before any ring steps.
+    monkeypatch.setattr(Ring, "step", None)  # a step would raise TypeError
+    code, out, err = run(capsys, "cross-check", "--n", "40", "--k", "1")
+    assert (code, out) == (3, "")
+    assert err == "resource cap: 1-fault sweep for n=40 exceeded the budget of 1000000 runs\n"
+    monkeypatch.undo()
+    # k=2 runs until it passes the budget, here cut down from a million.
+    monkeypatch.setattr(checker, "RUN_BUDGET", 100)
+    code, out, err = run(capsys, "cross-check", "--n", "4", "--k", "2")
+    assert (code, out) == (3, "")
+    assert "exceeded the budget of 100 runs" in err
 
 
 def test_cross_check_large_k_samples_with_a_warning(capsys):
