@@ -318,6 +318,7 @@ class SweepResult:
     verdicts: Tuple[PropertyVerdict, ...]
     # Chains whose tail was judged once, for an earlier sibling (see _sweep).
     shared_tails: int = 0
+    sampled: bool = False  # the budget cut a k >= 3 walk short
 
 
 def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
@@ -463,7 +464,7 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     (SIM).  A mismatch on a prefix that chains share (see ``_chains``) is
     reported against the first chain, in enumeration order, through it.
     Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
-    raises; beyond, the first ``max_runs`` chains are run.
+    raises; beyond, the walk stops after ``max_runs`` chains, as a sample.
 
     Siblings (chains of one fork: the same earlier faults and the same last
     fault slot, in a row in the walk) whose accept sets agree on that
@@ -475,15 +476,16 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     own witness.  On the fault-free ring every receiver is decisive, so a
     single fault's tail, which reads the whole history (the counting
     oracle, the abstraction's inputs), is never shared."""
-    exhaustive = k <= 2
     runs = degenerate = round1_splits = shared_tails = 0
+    sampled = False
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
     ring = _root(n, k, gate)
     root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
     for sc, path, outcome in _chains(root, k):
         if runs >= max_runs:
-            if exhaustive:
+            if k <= 2:
                 raise _over_budget(n, k, max_runs)
+            sampled = True
             break
         runs += 1
         if path is None:  # an earlier sibling's tail stands for this chain
@@ -525,7 +527,7 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
             if prop in bad and prop not in failed:
                 extra, detail = bad[prop]
                 failed[prop] = (_scenario_witness(sc, extra), detail)
-    scope = f"k={k} {'exhaustive' if exhaustive else 'sample'} ({runs} runs"
+    scope = f"k={k} {'sample' if sampled else 'exhaustive'} ({runs} runs"
     if k == 1:
         scope += f", {round1_splits} round-1 splits"
         if round1_splits == 0:
@@ -537,7 +539,7 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     return SweepResult(n=n, runs=runs, verdicts=tuple(
         PropertyVerdict(prop, n, scope, prop not in failed, *failed.get(prop, ((), "")))
         for prop in (("NC", "CA", "SIM") if k == 1 else ("NC", "CA"))
-    ), shared_tails=shared_tails)
+    ), shared_tails=shared_tails, sampled=sampled)
 
 
 def cross_check(

@@ -14,7 +14,8 @@ of the slot before the one that opens a fault's next round.
 
 ``predict_gate`` turns those counters into the (acc, fail) pair an active
 station must hold when its own slot comes up, selecting the arithmetic by
-the station's position relative to the fault rounds.  It reads only the
+the station's position relative to the fault rounds; each branch sums acc
+and fail together in one pass over its counters.  It reads only the
 counters and the owner's class, never another station, and the counters
 see only observable slot outcomes, so agreement with a concrete run is a
 genuine cross-check.  Two identities make that possible.  In the fault
@@ -35,6 +36,9 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ring import Ring, SlotEvent
+
+# A slot owner's location before the slot: one that gates, one that integrates.
+_ACTIVE, _INTEGRATING = frozenset(("in", "agree", "disagree")), frozenset(("listen", "counting"))
 
 
 def expected_counter_count(k: int) -> int:
@@ -76,41 +80,41 @@ class CounterTree:
     # -- event intake --------------------------------------------------------
 
     def observe(self, ev: SlotEvent) -> None:
-        if ev.owner_loc in ("listen", "counting"):
+        slot, owner, owner_loc, emitted, _gate, departed, accepted = ev
+        if owner_loc in _INTEGRATING:
             raise ValueError("counter tree is undefined while stations integrate")
-        if ev.accepted is not None:
-            self._split(ev.slot, ev.owner, ev.accepted)
-            self.last_emission[ev.owner] = ev.slot
-        elif ev.emitted:
-            if self.fault_slots:
-                w = self.label[ev.owner]
-                if ev.slot < self.fault_slots[-1] + self.n:
+        fault_slots = self.fault_slots
+        if accepted is not None:
+            self._split(slot, owner, accepted)
+            self.last_emission[owner] = slot
+        elif emitted:
+            if fault_slots:
+                w = self.label[owner]
+                if slot < fault_slots[-1] + self.n:
                     self.levels[-1][w][1] += 1
                 if w in self.aux_a:
                     self.aux_a[w] += 1
-            self.last_emission[ev.owner] = ev.slot
-        else:
-            owner = ev.owner
-            if owner not in self.active:
-                # A gone station's slot: if its last frame was exactly one
-                # round ago, gaters' windows lose it right now.
-                if self.fault_slots and self.last_emission[owner] == ev.slot - self.n:
-                    w = self.label[owner]
-                    if w in self.aux_f:
-                        self.aux_f[w] += 1
+            self.last_emission[owner] = slot
+        elif owner not in self.active:
+            # A gone station's slot: if its last frame was exactly one
+            # round ago, gaters' windows lose it right now.
+            if fault_slots and self.last_emission[owner] == slot - self.n:
+                w = self.label[owner]
+                if w in self.aux_f:
+                    self.aux_f[w] += 1
         # Departures (the owner's failed gate, or a sender convicted by its
         # successors' verdicts mid-slot) shrink the class populations.
-        for sid, kind in ev.departed:
+        for sid, kind in departed:
             if sid not in self.active:
                 continue
             self.active.discard(sid)
-            if self.fault_slots:
+            if fault_slots:
                 w = self.label[sid]
                 self.levels[-1][w][0] -= 1
                 if kind == "gate" and w in self.aux_f:
                     self.aux_f[w] += 1
         # The next slot opens a fault's next round: its window starts afresh.
-        if ev.slot + 1 - self.n in self.fault_slots:
+        if slot + 1 - self.n in fault_slots:
             for w in self.aux_a:
                 self.aux_a[w] = 0
                 self.aux_f[w] = 0
@@ -145,7 +149,7 @@ class CounterTree:
         the operands with the tree's prediction, then observe the event.
         Returns that comparison, or None for a slot without an active gate."""
         check = None
-        if ev.gate is not None and ev.owner_loc in ("in", "agree", "disagree"):
+        if ev.gate is not None and ev.owner_loc in _ACTIVE:
             check = GateCheck(ev.slot, ev.owner, self.predict_gate(ev.owner, ev.slot),
                               ev.gate)
         self.observe(ev)
@@ -154,57 +158,58 @@ class CounterTree:
     # -- predictions ----------------------------------------------------------
 
     def predict_gate(self, sid: int, slot: int) -> Tuple[int, int]:
-        """(acc, fail) an active station must hold at its gate this slot."""
+        """(acc, fail) an active station must hold at its gate this slot:
+        each branch is one pass over the counters it reads."""
         if sid not in self.active:
             raise ValueError(f"s{sid} is not active at slot {slot}")
-        if not self.fault_slots:
+        fault_slots = self.fault_slots
+        if not fault_slots:
             return (self.n, 0)
-        j = len(self.fault_slots)
-        w_s = self.label[sid]
-        cp = [slot - fs for fs in self.fault_slots]
+        n, levels, aux_f, w_s = self.n, self.levels, self.aux_f, self.label[sid]
 
-        if cp[0] < self.n:
+        if slot - fault_slots[0] < n:
             # Window still contains every fault: its n - cp0 slots before the
             # first one all carried a frame the owner accepted, and each frame
             # since is counted in its level's d; foreign-class frames are fail.
-            own = sum(level[w_s[:l]][1] for l, level in enumerate(self.levels, start=1))
-            sent = sum(d for level in self.levels for _c, d in level.values())
-            return (self.n - cp[0] + own, sent - own)
+            own = sent = 0
+            for l, level in enumerate(levels, start=1):
+                own += level[w_s[:l]][1]
+                for _c, d in level.values():
+                    sent += d
+            return (n - slot + fault_slots[0] + own, sent - own)
 
-        if cp[-1] < self.n:
+        if slot - fault_slots[-1] < n:
             # Faults 1..i have aged out of the window, i+1..j are inside.
-            i = max(idx for idx in range(j) if cp[idx] >= self.n) + 1
-            acc = sum(self.levels[l - 1][w_s[:l]][1] for l in range(i, j + 1))
-            acc -= sum(
-                self.aux_a[w] + self.aux_f[w]
-                for w in self.aux_a
-                if w[:i] == w_s[:i]
-            )
-            fail = sum(
-                sum(d for _c, d in self.levels[l - 1].values()) - self.levels[l - 1][w_s[:l]][1]
-                for l in range(i, j + 1)
-            )
-            fail -= sum(
-                self.aux_a[w] + self.aux_f[w]
-                for w in self.aux_a
-                if w[:i] != w_s[:i]
-            )
+            i = 1
+            while slot - fault_slots[i] >= n:
+                i += 1
+            acc = sent = 0
+            for l, level in enumerate(levels[i - 1:], start=i):
+                acc += level[w_s[:l]][1]
+                for _c, d in level.values():
+                    sent += d
+            fail, prefix = sent - acc, w_s[:i]
+            for w, a in self.aux_a.items():
+                if w[:i] == prefix:
+                    acc -= a + aux_f[w]
+                else:
+                    fail -= a + aux_f[w]
             return (acc, fail)
 
-        if cp[-1] < 2 * self.n:
+        leaves = levels[-1]
+        if slot - fault_slots[-1] < 2 * n:
             # One full round past the last fault: the frozen round-one
             # counts, corrected by this round's missing frames.
-            acc = self.levels[-1][w_s][1] - self.aux_f[w_s]
-            fail = sum(
-                d - self.aux_f[w]
-                for w, (_c, d) in self.levels[-1].items()
-                if w != w_s
-            )
+            acc = leaves[w_s][1] - aux_f[w_s]
+            fail = 0
+            for w, (_c, d) in leaves.items():
+                if w != w_s:
+                    fail += d - aux_f[w]
             return (acc, fail)
 
         # Stabilized: the leaves' populations are the live headcounts.
-        same = self.levels[-1][w_s][0]
-        return (same, sum(c for c, _d in self.levels[-1].values()) - same)
+        same = leaves[w_s][0]
+        return (same, sum([c for c, _d in leaves.values()]) - same)
 
     # -- audits ----------------------------------------------------------------
 
@@ -258,7 +263,7 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
     d_by_class = {"1": 0, "0": 0}
     for ev in ring.events:
         slot = ev.slot
-        if ev.gate is not None and ev.owner_loc in ("in", "agree", "disagree"):
+        if ev.gate is not None and ev.owner_loc in _ACTIVE:
             if slot <= fault_slot:
                 predicted = (n, 0)
             elif slot < fault_slot + n:

@@ -9,6 +9,8 @@ every fault splits the current classes — the bookkeeping here tracks those
 classes as bit-string labels ('1' appended for stations that vouched for the
 faulty frame, '0' for everyone else).
 
+``Ring.step`` takes a silent slot, a clean frame and a faulty frame as three
+branches; only a faulty frame reads the accept set and splits the classes.
 ``Ring.events`` is the run's history, one :class:`SlotEvent` per slot, and
 every consumer (oracles, abstraction map, renderers) reads it there; with
 ``record=True``, ``Ring.records`` adds each slot's post-slot station
@@ -368,15 +370,16 @@ class Ring:
         owner = stations[t % self.n]
         fault = self._faults.get(t)
 
-        for i, sid in self._integrations.get(t, ()):
-            st = stations[sid]
-            if st.location is not _FAILED:
-                raise self.scenario.refuse(
-                    f"integrate station=s{sid} slot={t}: station is {st.location.value}, not failed",
-                    ("integrate", i),
-                )
-            # Set since slot 0, where s0 passes its gate and nobody is failed.
-            start_integration(st, self.last_frame.vector, t)
+        if t in self._integrations:
+            for i, sid in self._integrations[t]:
+                st = stations[sid]
+                if st.location is not _FAILED:
+                    raise self.scenario.refuse(
+                        f"integrate station=s{sid} slot={t}: station is {st.location.value}, not failed",
+                        ("integrate", i),
+                    )
+                # Set since slot 0, where s0 passes its gate and nobody is failed.
+                start_integration(st, self.last_frame.vector, t)
 
         owner_loc = owner.location
         frame: Optional[Frame] = None
@@ -402,44 +405,47 @@ class Ring:
             elif counting and owner.location is _FAILED:
                 departed.append((owner.sid, "integ_gate"))
 
-        if fault is not None:
-            if frame is None:
+        accepted: Optional[Tuple[int, ...]] = None
+        if frame is None:
+            if fault is not None:
                 raise self.scenario.refuse(
                     f"fault at slot {t}: owner s{owner.sid} is silent, nothing to corrupt",
                     ("fault", self.scenario.faults.index(fault)),
                 )
-            for sid in fault.accept:
-                if not stations[sid].location.is_receiving:
-                    raise self.scenario.refuse(
-                        f"fault at slot {t}: accept lists s{sid}, which is not receiving",
-                        ("fault", self.scenario.faults.index(fault)),
-                    )
-
-        accepted: List[int] = []
-        if frame is None:
             # A slot passed with no frame: every receiver clears the owner's
             # bit and touches no counter.
             keep = ~(1 << owner.sid)
             for st in stations:
                 if st is not owner and st.location.is_receiving:
                     st.member &= keep
-        else:
+        elif fault is None:  # a clean frame: no class splits
             self.last_frame = frame
-            accept = None if fault is None else fault.accept
+            for st in stations:
+                if (st is not owner and st.location.is_receiving
+                        and receive_step(st, frame, True) is _LEAVE):
+                    departed.append((st.sid, "second_check"))
+        else:  # a faulty frame, clean to the accept set only: every class splits
+            for sid in fault.accept:
+                if not stations[sid].location.is_receiving:
+                    raise self.scenario.refuse(
+                        f"fault at slot {t}: accept lists s{sid}, which is not receiving",
+                        ("fault", self.scenario.faults.index(fault)),
+                    )
+            self.last_frame = frame
+            got: List[int] = []  # in station order, so sorted
             for st in stations:
                 if st is owner or not st.location.is_receiving:
                     continue
-                ev = receive_step(st, frame, accept is None or st.sid in accept)
+                ev = receive_step(st, frame, st.sid in fault.accept)
                 if ev is _ACCEPT:
-                    accepted.append(st.sid)
+                    got.append(st.sid)
                 elif ev is _LEAVE:
                     departed.append((st.sid, "second_check"))
-            if fault is not None:
-                vouched = set(accepted) | {owner.sid}
-                for st in stations:
-                    self.labels[st.sid] += "1" if st.sid in vouched else "0"
-                    if st.location.is_active:
-                        st.location = _AGREE if st.sid in vouched else _DISAGREE
+            accepted, vouched = tuple(got), set(got) | {owner.sid}
+            for st in stations:
+                self.labels[st.sid] += "1" if st.sid in vouched else "0"
+                if st.location.is_active:
+                    st.location = _AGREE if st.sid in vouched else _DISAGREE
 
         if reentered:
             # Classes may merge only now: receivers that accepted the
@@ -449,7 +455,7 @@ class Ring:
         # Positional, in field order: with keywords the constructor takes 1.5x as long.
         self.events.append(SlotEvent(
             t, owner.sid, owner_loc._value_, frame is not None, gate_vals, tuple(departed),
-            tuple(sorted(accepted)) if fault is not None else None))
+            accepted))
         if self.record:
             self.records.append(_snapshot(stations))
         self.slot += 1
@@ -493,18 +499,16 @@ class Ring:
                              f"slot {fault.slot}, which has already run")
         scenario = self.scenario.with_fault(fault)
         scenario.check_fault(len(scenario.faults) - 1)  # only the added fault is new
-        clone = Ring.__new__(Ring)
         # Containers a step changes are copied; the rest is immutable or
-        # read-only, so it is shared.
-        clone.__dict__.update(
-            self.__dict__,
-            scenario=scenario,
-            stations=[_copy(st) for st in self.stations],
-            labels=list(self.labels),
-            events=list(self.events),
-            records=list(self.records),
-            _faults={**self._faults, fault.slot: fault},
-        )
+        # read-only, so it is shared.  Set one by one, in ``__init__``'s
+        # order: reading or filling ``__dict__`` would make every later
+        # attribute access on either ring slower.
+        clone = Ring.__new__(Ring)
+        clone.scenario, clone.n, clone.weak_gate = scenario, self.n, self.weak_gate
+        clone.record, clone.stations = self.record, [_copy(st) for st in self.stations]
+        clone.labels, clone.slot, clone.last_frame = list(self.labels), self.slot, self.last_frame
+        clone.events, clone.records = list(self.events), list(self.records)
+        clone._faults, clone._integrations = {**self._faults, fault.slot: fault}, self._integrations
         return clone
 
     def run_until(self, slot: int) -> "Ring":
@@ -526,20 +530,24 @@ def partition_classes(ring: Ring) -> Dict[str, Tuple[int, ...]]:
     Classes are keyed by fault-history label; the grouping must coincide
     with grouping by membership-vector equality (internal soundness check —
     a divergence would mean the label bookkeeping and the protocol state
-    disagree about who belongs together).
+    disagree about who belongs together), that is, when each label has one
+    vector and each vector one label.
     """
     by_label: Dict[str, List[int]] = {}
-    by_vector: Dict[int, List[int]] = {}
+    vector_of, label_of = {}, {}  # label -> vector, vector -> label
+    sound = True
     for st in ring.stations:
         if st.location.is_active:
-            by_label.setdefault(ring.labels[st.sid], []).append(st.sid)
-            by_vector.setdefault(st.member, []).append(st.sid)
-    label_groups = sorted(tuple(v) for v in by_label.values())
-    vector_groups = sorted(tuple(v) for v in by_vector.values())
-    if label_groups != vector_groups:
-        raise SoundnessError(
-            f"class labels {by_label} disagree with vector partition {by_vector}"
-        )
+            w, v = ring.labels[st.sid], st.member
+            by_label.setdefault(w, []).append(st.sid)
+            sound = sound and vector_of.setdefault(w, v) == v and label_of.setdefault(v, w) == w
+    if not sound:  # the grouping by vector only words the error
+        by_vector: Dict[int, List[int]] = {}
+        for st in ring.stations:
+            if st.location.is_active:
+                by_vector.setdefault(st.member, []).append(st.sid)
+        raise SoundnessError(f"class labels {by_label} disagree with vector partition "
+                             f"{by_vector}")
     return {k: tuple(v) for k, v in sorted(by_label.items())}
 
 

@@ -39,21 +39,21 @@ SELECTION = [
 
 # (file under src/ttpmem, old text, new text, what the mutant breaks)
 MUTANTS = [
-    ("kfault.py", "return (self.n - cp[0] + own, sent - own)",
-     "return (self.n - cp[0] - 1 + own, sent - own)",
+    ("kfault.py", "return (n - slot + fault_slots[0] + own, sent - own)",
+     "return (n - slot + fault_slots[0] - 1 + own, sent - own)",
      "fault round: one pre-fault frame too few in the window"),
-    ("kfault.py", "enumerate(self.levels, start=1))",
-     "enumerate(self.levels[:-1], start=1))",
+    ("kfault.py", "for l, level in enumerate(levels, start=1):",
+     "for l, level in enumerate(levels[:-1], start=1):",
      "fault round: the lineage sum drops the newest level"),
-    ("kfault.py", "same = self.levels[-1][w_s][0]",
-     "same = self.levels[-1][max(self.levels[-1])][0]",
+    ("kfault.py", "same = leaves[w_s][0]",
+     "same = leaves[max(leaves)][0]",
      "settled: same-class headcount read from the wrong leaf"),
     ("kfault.py", "c1 = 1 + len(accepted)", "c1 = len(accepted)",
      "_split: the emitter left out of its vouchers' class"),
     ("kfault.py", 'new_level["0"] = [self.n - x, 0]', 'new_level["0"] = [self.n - x, 1]',
      "_split: the first fault's rejecters start with one frame"),
-    ("kfault.py", "if ev.slot + 1 - self.n in self.fault_slots:",
-     "if ev.slot - self.n in self.fault_slots:",
+    ("kfault.py", "if slot + 1 - self.n in fault_slots:",
+     "if slot - self.n in fault_slots:",
      "aux counters reset one slot late"),
     ("protocol.py", "if slot - st.listen_from >= st.n:",
      "if slot - st.listen_from > st.n:",
@@ -109,6 +109,19 @@ MUTANTS = [
     ("checker.py", "max_runs = RUN_BUDGET if k <= 2 else SAMPLE_CHAINS",
      "max_runs = 10 * RUN_BUDGET if k <= 2 else SAMPLE_CHAINS",
      "budget: a k <= 2 sweep's default ten times RUN_BUDGET"),
+    ("kfault.py", "while slot - fault_slots[i] >= n:", "while slot - fault_slots[i] > n:",
+     "window scan: a fault exactly a round back counted as still inside"),
+    ("ring.py", "sound and vector_of.setdefault(w, v) == v and ", "sound and ",
+     "partition check: one label over two vectors let through"),
+    ("ring.py", " and label_of.setdefault(v, w) == w", "",
+     "partition check: two labels over one vector let through"),
+    ("ring.py", "receive_step(st, frame, True) is _LEAVE", "receive_step(st, frame, False) is _LEAVE",
+     "clean-frame branch: every receiver gets the frame corrupted"),
+    ("ring.py", "ev = receive_step(st, frame, st.sid in fault.accept)",
+     "ev = receive_step(st, frame, True)",
+     "faulty-frame branch: the accept set ignored, every copy clean"),
+    ("checker.py", "sampled = True\n            break", "break",
+     "a walk cut by its budget reported as exhaustive"),
 ]
 
 

@@ -15,6 +15,8 @@ boundary-scoped properties survive.
 
 from __future__ import annotations
 
+import hashlib
+
 from dataclasses import astuple
 from itertools import islice
 from pathlib import Path
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import ttpmem.checker as checker
+import ttpmem.ring as ring_module
 
 from ttpmem.abstraction import (
     abstract_init,
@@ -473,3 +476,46 @@ def test_a_broken_rule_still_shows_after_a_clean_sweep(monkeypatch):
 
     monkeypatch.setattr(checker, "abstract_successors", broken)
     assert broken_rule_sweeps() == (FIXTURES / "broken_rule_sweeps.txt").read_text()
+
+
+def test_sweeps_keep_their_work_and_their_gate_predictions(monkeypatch):
+    # A faster sweep must not come from doing less: per sweep, the calls of
+    # the ring and counter-tree steps stay as they are, and so does every
+    # gate check the tree is fed, known k=3 mispredictions included (the
+    # digest covers each (n, slot, sid, predicted, actual) in walk order).
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((Ring, "step"), (Ring, "fork"), (CounterTree, "observe"),
+                        (CounterTree, "predict_gate"), (ring_module, "receive_step")):
+        counted(owner, name)
+    feed = CounterTree.feed
+    digest = hashlib.sha256()
+
+    def fed(tree, ev):
+        c = feed(tree, ev)
+        if c is not None:
+            digest.update(repr((tree.n, c.slot, c.sid, c.predicted, c.actual)).encode())
+        return c
+
+    monkeypatch.setattr(CounterTree, "feed", fed)
+    names = ("step", "fork", "observe", "predict_gate", "receive_step")
+    for ns, k, max_runs, work, sha in (
+        ([4], 2, None, (3651, 472, 3651, 2851, 5345), "3b1cac7a04bf8655"),
+        ([5], 2, None, (21404, 2180, 21404, 17104, 41076), "11e9452dc900e629"),
+        (range(3, 7), 1, None, (6178, 316, 6178, 4934, 15182), "7563be34c73e627e"),
+        ([4], 3, 7420, (41667, 5556, 3531, 3093, 47013), "6738fc51413b8a5b"),
+    ):
+        calls.clear()
+        digest = hashlib.sha256()
+        cross_check(ns, k=k, max_runs=max_runs)
+        assert tuple(calls[name] for name in names) == work, (list(ns), k)
+        assert digest.hexdigest()[:16] == sha, (list(ns), k)

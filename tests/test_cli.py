@@ -363,6 +363,22 @@ def test_cross_check_large_k_samples_with_a_warning(capsys):
     assert "k=5 sample (6 runs)" in out
 
 
+def test_a_k3_walk_that_fits_its_budget_is_exhaustive(capsys):
+    # The k=3 walk at n=4 has 7,420 chains: a budget that covers them all
+    # runs every chain, so the scope says so and nothing warns of sampling;
+    # one run less cuts the walk.
+    warning = ("warning: exhaustive coverage stops at k=2; the k=3 chain space grows "
+               "factorially, sampling 7419 chains per ring\n")
+    for budget, scope, warned in (("7420", "exhaustive (7420 runs)", False),
+                                  ("7419", "sample (7419 runs)", True),
+                                  ("8000", "exhaustive (7420 runs)", False)):
+        code, out, err = run(capsys, "cross-check", "--n", "4", "--k", "3",
+                             "--max-runs", budget)
+        assert code == 1  # the recorded k=3 counter-tree defect
+        assert f"NC n=4 constraint=k=3 {scope} HOLDS" in out, budget
+        assert err == (warning if warned else ""), budget
+
+
 def test_cross_check_zero_faults_exits_two(capsys):
     code, _, err = run(capsys, "cross-check", "--n", "3..3", "--k", "0")
     assert code == 2

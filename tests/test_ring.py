@@ -102,6 +102,20 @@ def test_label_and_vector_partitions_must_agree():
     ring.labels[0] = "0"  # s0 vouched for the fault; its vector says so
     with pytest.raises(SoundnessError, match="disagree with vector partition"):
         partition_classes(ring)
+    # Either way round alone breaks the partition: one label over two
+    # vectors (the vouchers' s0, s2 and the rejecter s1), and two labels
+    # over one vector (the single class left after round 2).
+    for slot, sid, label, message in (
+        (4, 1, "1", "class labels {'1': [0, 1, 2]} disagree with vector partition "
+                    "{5: [0, 2], 2: [1]}"),
+        (8, 2, "", "class labels {'1': [0], '': [2]} disagree with vector partition "
+                   "{5: [0, 2]}"),
+    ):
+        ring = Ring(SINGLE_FAULT).run_until(slot)
+        ring.labels[sid] = label
+        with pytest.raises(SoundnessError) as refused:
+            partition_classes(ring)
+        assert str(refused.value) == message
 
 
 def test_cascade_reference_tables():
