@@ -15,10 +15,10 @@ violating paths reconstructed from the BFS tree:
 * P7  after two full rounds only one class remains, for good.
 
 ``cross_check`` is the one concrete sweep: for k faults it drives the ring
-over every admissible fault chain of ``kfault_scenarios`` (a bounded prefix
-of them for k >= 3) and judges the two-round convergence claim (NC), the
-counter-tree predictions at every gate (CA) and, for a single fault, the
-closed-form counting oracle and per-slot simulation by the abstraction.
+over every admissible fault chain of ``kfault_scenarios`` and judges the
+two-round convergence claim (NC), the counter-tree predictions at every
+gate (CA) and, for a single fault, the closed-form counting oracle and
+per-slot simulation by the abstraction.
 The chains come from one depth-first walk: a prefix that several chains
 share runs once, and at every fault point the ring and a counter tree fed
 event by event are forked, so the tree's predictions and the simulation
@@ -70,11 +70,9 @@ from .ring import (
 )
 
 
-# Chains a k >= 3 sweep runs when no run budget is given.
-SAMPLE_CHAINS = 100
-
-# Runs a k <= 2 sweep may make per ring size when no run budget is given:
-# k=2 at n=8 (720,832 chains) fits, k=1 from n=17 (n * 2**(n-1) chains) does not.
+# Runs a sweep may make per ring size when no run budget is given: k=2 at
+# n=8 (720,832 chains), k=3 at n=5 (148,120) and k=4 at n=4 (56,092) fit,
+# k=1 from n=17 (n * 2**(n-1) chains) does not.
 RUN_BUDGET = 1_000_000
 
 
@@ -318,7 +316,6 @@ class SweepResult:
     verdicts: Tuple[PropertyVerdict, ...]
     # Chains whose tail was judged once, for an earlier sibling (see _sweep).
     shared_tails: int = 0
-    sampled: bool = False  # the budget cut a k >= 3 walk short
 
 
 def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
@@ -463,8 +460,7 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     closed-form counting oracle (CA) and, slot by slot, by the abstraction
     (SIM).  A mismatch on a prefix that chains share (see ``_chains``) is
     reported against the first chain, in enumeration order, through it.
-    Up to k=2 the sweep is exhaustive and overrunning ``max_runs``
-    raises; beyond, the walk stops after ``max_runs`` chains, as a sample.
+    Every chain runs, at every k: a walk longer than ``max_runs`` raises.
 
     Siblings (chains of one fork: the same earlier faults and the same last
     fault slot, in a row in the walk) whose accept sets agree on that
@@ -477,16 +473,12 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     single fault's tail, which reads the whole history (the counting
     oracle, the abstraction's inputs), is never shared."""
     runs = degenerate = round1_splits = shared_tails = 0
-    sampled = False
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
     ring = _root(n, k, gate)
     root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
     for sc, path, outcome in _chains(root, k):
         if runs >= max_runs:
-            if k <= 2:
-                raise _over_budget(n, k, max_runs)
-            sampled = True
-            break
+            raise _over_budget(n, k, max_runs)
         runs += 1
         if path is None:  # an earlier sibling's tail stands for this chain
             judged, bad = outcome[0]
@@ -527,7 +519,7 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
             if prop in bad and prop not in failed:
                 extra, detail = bad[prop]
                 failed[prop] = (_scenario_witness(sc, extra), detail)
-    scope = f"k={k} {'sample' if sampled else 'exhaustive'} ({runs} runs"
+    scope = f"k={k} exhaustive ({runs} runs"
     if k == 1:
         scope += f", {round1_splits} round-1 splits"
         if round1_splits == 0:
@@ -539,7 +531,7 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     return SweepResult(n=n, runs=runs, verdicts=tuple(
         PropertyVerdict(prop, n, scope, prop not in failed, *failed.get(prop, ((), "")))
         for prop in (("NC", "CA", "SIM") if k == 1 else ("NC", "CA"))
-    ), shared_tails=shared_tails, sampled=sampled)
+    ), shared_tails=shared_tails)
 
 
 def cross_check(
@@ -549,20 +541,21 @@ def cross_check(
     gate: str = "strict",
 ) -> List[SweepResult]:
     """The concrete fault-chain sweep for each ring size; see ``_sweep``.
-    Without ``max_runs`` a k <= 2 sweep may make ``RUN_BUDGET`` runs per
-    ring size and a larger k samples ``SAMPLE_CHAINS`` chains.  A single
-    fault has exactly n * 2**(n-1) chains, so a ring size whose count
-    exceeds the budget is refused before any ring runs."""
+    Without ``max_runs`` a sweep may make ``RUN_BUDGET`` runs per ring
+    size.  A single fault has exactly n * 2**(n-1) chains, so a ring size
+    whose count exceeds the budget is refused before any ring runs."""
     if k < 1:
         raise ValueError(f"need at least one fault, got k={k}")
     if max_runs is None:
-        max_runs = RUN_BUDGET if k <= 2 else SAMPLE_CHAINS
+        max_runs = RUN_BUDGET
     elif max_runs < 1:
         raise ValueError(f"the run budget must be at least 1, got {max_runs}")
     # n << (n-1) is the k=1 chain count, and past the budget's bit length
     # 2**(n-1) alone exceeds it; a ring under 3 is left to Scenario.validate.
-    over = [n for n in n_values if k == 1 and n > 2 and (
-        n > max_runs.bit_length() or n << (n - 1) > max_runs)]
+    # The first such n is found without listing ``n_values``, which may be a
+    # huge range.
+    over = k == 1 and next((n for n in n_values if n > 2 and (
+        n > max_runs.bit_length() or n << (n - 1) > max_runs)), None)
     if over:
-        raise _over_budget(over[0], k, max_runs)
+        raise _over_budget(over, k, max_runs)
     return [_sweep(n, k, max_runs, gate) for n in n_values]

@@ -106,9 +106,8 @@ MUTANTS = [
      "map: the faulty sender's silent exit never raises g"),
     ("checker.py", "n << (n - 1) > max_runs", "n << (n - 2) > max_runs",
      "budget: a single fault's chains counted at half"),
-    ("checker.py", "max_runs = RUN_BUDGET if k <= 2 else SAMPLE_CHAINS",
-     "max_runs = 10 * RUN_BUDGET if k <= 2 else SAMPLE_CHAINS",
-     "budget: a k <= 2 sweep's default ten times RUN_BUDGET"),
+    ("checker.py", "max_runs = RUN_BUDGET\n", "max_runs = 10 * RUN_BUDGET\n",
+     "budget: the default ten times RUN_BUDGET"),
     ("kfault.py", "while slot - fault_slots[i] >= n:", "while slot - fault_slots[i] > n:",
      "window scan: a fault exactly a round back counted as still inside"),
     ("ring.py", "sound and vector_of.setdefault(w, v) == v and ", "sound and ",
@@ -120,8 +119,12 @@ MUTANTS = [
     ("ring.py", "ev = receive_step(st, frame, st.sid in fault.accept)",
      "ev = receive_step(st, frame, True)",
      "faulty-frame branch: the accept set ignored, every copy clean"),
-    ("checker.py", "sampled = True\n            break", "break",
-     "a walk cut by its budget reported as exhaustive"),
+    ("checker.py", "raise _over_budget(n, k, max_runs)", "break",
+     "a walk over its budget is cut silently"),
+    ("checker.py", "max_runs = RUN_BUDGET\n", "max_runs = RUN_BUDGET if k <= 2 else 100\n",
+     "budget: k >= 3 sampled again, 100 chains by default"),
+    ("cli.py", "return range(lo, hi + 1)", "return list(range(lo, hi + 1))",
+     "a ring-size range built in memory before the budget refuses it"),
 ]
 
 

@@ -298,19 +298,26 @@ def test_a_two_fault_sweep_over_the_default_budget_is_refused(monkeypatch):
     assert [r.runs for r in cross_check([4], k=2)] == [664]
 
 
-def test_sample_order_and_witness_of_the_three_fault_sweep():
-    # The first chains of the walk are sampled in enumeration order; the
-    # 125th is the first whose counter tree mispredicts (a recorded k=3
-    # defect), and the witness names that chain and the gate.
-    [clean] = cross_check([4], k=3, max_runs=124)
-    assert all(v.holds for v in clean.verdicts)
-    [result] = cross_check([4], k=3, max_runs=125)
-    ca = next(v for v in result.verdicts if v.prop == "CA")
-    assert not ca.holds
+def test_order_and_witness_of_the_exhaustive_three_fault_sweep():
+    # The k=3 walk at n=4 runs all 7,420 chains within the default budget,
+    # and one run less is a budget overrun, not a shorter walk.  NC holds.
+    # CA fails on the recorded k=3 counter-tree defect (ROADMAP item 1):
+    # the witness is the first mispredicting chain in walk order, the 125th,
+    # and names the gate.
+    [result] = cross_check([4], k=3)
+    assert result.runs == 7420
+    nc, ca = result.verdicts
+    assert nc.prop == "NC" and nc.holds
+    assert ca.prop == "CA" and not ca.holds
     assert ca.witness == ("n = 4", "rounds = 6", "fault slot=0 accept=",
                           "fault slot=3 accept=", "fault slot=5 accept=",
                           "slot 6 s2")
     assert ca.detail == "predicted (1, 3), ring held (1, 2)"
+    chain = next(islice(checker.kfault_scenarios(4, 3), 124, None))
+    assert ca.witness[:-1] == tuple(ring_module.scenario_text(chain).splitlines())
+    with pytest.raises(ResourceCap, match="^3-fault sweep for n=4 exceeded the "
+                                          "budget of 7419 runs$"):
+        cross_check([4], k=3, max_runs=7419)
 
 
 def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypatch):

@@ -8,6 +8,7 @@ byte-exact presentation on top of those values.
 from __future__ import annotations
 
 import io
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -333,7 +334,7 @@ def test_cross_check_single_fault_is_clean(capsys):
 
 
 def test_cross_check_budget_exits_three(capsys):
-    for k in ("1", "2"):
+    for k in ("1", "2", "3"):
         code, _, err = run(capsys, "cross-check", "--n", "5..5", "--k", k,
                            "--max-runs", "10")
         assert code == 3, f"k={k}"
@@ -355,41 +356,54 @@ def test_cross_check_without_a_budget_exits_three_on_a_sweep_over_a_million_runs
     assert "exceeded the budget of 100 runs" in err
 
 
-def test_cross_check_large_k_samples_with_a_warning(capsys):
+def test_cross_check_large_k_over_its_budget_exits_three(capsys):
+    # A large k keeps the contract of every k: every chain, or exit 3.
     code, out, err = run(capsys, "cross-check", "--n", "3..3", "--k", "5",
                          "--max-runs", "6")
-    assert code == 0
-    assert "sampling" in err
-    assert "k=5 sample (6 runs)" in out
+    assert (code, out) == (3, "")
+    assert err == "resource cap: 5-fault sweep for n=3 exceeded the budget of 6 runs\n"
 
 
 def test_a_k3_walk_that_fits_its_budget_is_exhaustive(capsys):
-    # The k=3 walk at n=4 has 7,420 chains: a budget that covers them all
-    # runs every chain, so the scope says so and nothing warns of sampling;
-    # one run less cuts the walk.
-    warning = ("warning: exhaustive coverage stops at k=2; the k=3 chain space grows "
-               "factorially, sampling 7419 chains per ring\n")
-    for budget, scope, warned in (("7420", "exhaustive (7420 runs)", False),
-                                  ("7419", "sample (7419 runs)", True),
-                                  ("8000", "exhaustive (7420 runs)", False)):
+    # The k=3 walk at n=4 has 7,420 chains: the default budget and any
+    # budget that covers them all run every chain, and one run less exits 3.
+    for budget in (None, "7420", "8000"):
         code, out, err = run(capsys, "cross-check", "--n", "4", "--k", "3",
-                             "--max-runs", budget)
+                             *(("--max-runs", budget) if budget else ()))
         assert code == 1  # the recorded k=3 counter-tree defect
-        assert f"NC n=4 constraint=k=3 {scope} HOLDS" in out, budget
-        assert err == (warning if warned else ""), budget
+        assert "NC n=4 constraint=k=3 exhaustive (7420 runs) HOLDS" in out, budget
+        assert err == "", budget
+    code, out, err = run(capsys, "cross-check", "--n", "4", "--k", "3",
+                         "--max-runs", "7419")
+    assert (code, out) == (3, "")
+    assert "exceeded the budget of 7419 runs" in err
+
+
+def test_a_huge_ring_size_range_is_refused_without_being_built(capsys):
+    # The first over-budget ring size is found without listing the range.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "cross-check", "--n", "3..3000000", "--k", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "1-fault sweep for n=17 exceeded" in err
+    assert peak < 5_000_000, peak
 
 
 def test_cross_check_zero_faults_exits_two(capsys):
     code, _, err = run(capsys, "cross-check", "--n", "3..3", "--k", "0")
     assert code == 2
     assert "at least one fault" in err
-    # A budget below one run would judge nothing, or sample a default.
+    # A budget below one run would judge nothing.
     for k in ("1", "2", "3"):
         for budget in ("0", "-1"):
             code, out, err = run(capsys, "cross-check", "--n", "4", "--k", k,
                                  "--max-runs", budget)
             assert code == 2, f"k={k} --max-runs {budget}"
-            assert out == "" and "at least 1" in err and "sampling" not in err
+            assert out == ""
+            assert err == f"error: the run budget must be at least 1, got {budget}\n"
 
 
 def test_kfault_oracle_reports_gates_and_the_counter_budget(capsys):
