@@ -27,9 +27,11 @@ The tails are shared too.  In the last fault's slot each receiver's step
 reads only its own state and whether the frame reaches it clean; the
 decisive receivers are those that a clean and a corrupted frame leave
 apart (``Ring.decisive_receivers``).  Siblings whose accept sets agree on
-them reach the same ring and tree, so only the first of them is forked and
-judged, and the others take its outcome.  On the fault-free ring every
-receiver is decisive, so single-fault chains never share.
+them reach the same ring and tree, so the walk forks the first of them,
+asks the sweep's judge once for the group, and yields that judgement with
+every chain of the group.  A chain is its fault tuple: a scenario is built
+from it only to word a failed check's witness.  On the fault-free ring
+every receiver is decisive, so single-fault chains never share.
 
 The simulation check maps the ring afresh at every slot, so it stays
 independent of the automaton it checks, but it reads the automaton's moves
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .abstraction import (
     G_INPUT,
@@ -318,10 +320,6 @@ class SweepResult:
     shared_tails: int = 0
 
 
-def _scenario_witness(sc: Scenario, extra: str) -> Tuple[str, ...]:
-    return tuple(scenario_text(sc).splitlines()) + (extra,)
-
-
 Mismatches = Dict[str, Tuple[str, str]]  # check -> (witness line, detail)
 
 
@@ -381,12 +379,11 @@ class _Path:
             self.pre = post
 
 
-# A chain's judged (convergence, mismatches), put in by the sweep for the
-# first chain of a group and read by the group's later chains (see _chains).
-Outcome = List[Tuple[Convergence, Mismatches]]
+Chain = Tuple[FaultSpec, ...]
+J = TypeVar("J")
 
 
-def _chains(root: _Path, k: int) -> Iterator[Tuple[Scenario, Optional[_Path], Outcome]]:
+def _chains(root: _Path, k: int, judge: Callable[[_Path], J]) -> Iterator[Tuple[Chain, J]]:
     """Every admissible chain of k faults, depth first from the fault-free
     ``root`` at slot 0: the first fault strikes a slot of the first round,
     each later one a slot at most one round after its predecessor whose
@@ -397,16 +394,16 @@ def _chains(root: _Path, k: int) -> Iterator[Tuple[Scenario, Optional[_Path], Ou
     is rotationally stationary, so placing the fault in the first round is
     exhaustive.
 
-    Yields each chain, in enumeration order, as its scenario, its path
-    forked at its last fault (that slot not yet run) and its outcome.  At
-    the last fault, accept sets that agree on the slot's decisive receivers
-    (``Ring.decisive_receivers``) step to the same ring and event, so on to
-    the same counter tree: only the first of each such group is forked, and
-    the group's later chains come with no path and the first one's outcome
-    list, which the sweep has filled by then."""
+    Yields each chain, in enumeration order, as its fault tuple and what
+    ``judge`` made of it.  At the last fault, accept sets that agree on the
+    slot's decisive receivers (``Ring.decisive_receivers``) step to the same
+    ring and event, so on to the same counter tree: the walk forks the first
+    chain of each such group, hands that path (its fault slot not yet run)
+    to ``judge`` once, and yields the judgement for every chain of the
+    group."""
     n = root.ring.n
 
-    def extend(path: _Path) -> Iterator[Tuple[Scenario, Optional[_Path], Outcome]]:
+    def extend(path: _Path) -> Iterator[Tuple[Chain, J]]:
         faults = path.ring.scenario.faults
         last = len(faults) + 1 == k
         first = faults[-1].slot + 1 if faults else 0
@@ -419,7 +416,7 @@ def _chains(root: _Path, k: int) -> Iterator[Tuple[Scenario, Optional[_Path], Ou
                 continue  # silent slot: nothing to corrupt
             receivers = [sid for sid in ring.active_ids() if sid != owner.sid]
             decisive = ring.decisive_receivers() if last else None
-            outcomes: Dict[frozenset, Outcome] = {}  # by the decisive receivers accepted
+            outcomes: Dict[frozenset, J] = {}  # by the decisive receivers accepted
             for r in range(len(receivers) + 1):
                 for accept in combinations(receivers, r):
                     fault = FaultSpec(slot, frozenset(accept))
@@ -427,12 +424,9 @@ def _chains(root: _Path, k: int) -> Iterator[Tuple[Scenario, Optional[_Path], Ou
                         yield from extend(path.fork(fault))
                         continue
                     group = fault.accept & decisive
-                    outcome = outcomes.get(group)
-                    if outcome is None:
-                        child = path.fork(fault)
-                        yield child.ring.scenario, child, outcomes.setdefault(group, [])
-                    else:
-                        yield ring.scenario.with_fault(fault), None, outcome
+                    if group not in outcomes:
+                        outcomes[group] = judge(path.fork(fault))
+                    yield faults + (fault,), outcomes[group]
 
     return extend(root)
 
@@ -443,10 +437,11 @@ def _root(n: int, k: int, gate: str) -> Ring:
 
 def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
     """Every admissible placement of k faults on a ring with the strict
-    clique gate, in the sweep's order: the scenarios of ``_chains``, whose
+    clique gate, in the sweep's order: the chains of ``_chains``, whose
     walk runs each prefix once and forks the ring at every fault."""
-    for sc, _path, _outcome in _chains(_Path(_root(n, k, "strict")), k):
-        yield sc
+    root = _root(n, k, "strict")
+    for faults, _ in _chains(_Path(root), k, lambda path: None):
+        yield replace(root.scenario, faults=faults)
 
 
 def _over_budget(n: int, k: int, max_runs: int) -> ResourceCap:
@@ -462,63 +457,64 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     reported against the first chain, in enumeration order, through it.
     Every chain runs, at every k: a walk longer than ``max_runs`` raises.
 
-    Siblings (chains of one fork: the same earlier faults and the same last
-    fault slot, in a row in the walk) whose accept sets agree on that
-    slot's decisive receivers reach the same ring and counter tree right
-    after it (see ``_chains``).  The first of them is forked and runs the
-    fault slot and the 2n-1 slots of the tail; the others take its verdict
-    and mismatches, which are exact, as siblings also share the prefix and
-    the fault slot's gate check.  Every chain is still counted and gets its
-    own witness.  On the fault-free ring every receiver is decisive, so a
-    single fault's tail, which reads the whole history (the counting
+    The walk calls ``judge`` once per group of siblings (chains of one
+    fork: the same earlier faults and the same last fault slot) whose
+    accept sets agree on that slot's decisive receivers: they reach the
+    same ring and counter tree right after it (see ``_chains``).  The judge
+    runs the fault slot and the tail and returns the verdict and
+    mismatches, which are exact for every chain of the group, as siblings
+    also share the prefix and the fault slot's gate check.  Every chain is
+    still counted, and a witness is built from its fault tuple when a check
+    first fails on it.  On the fault-free ring every receiver is decisive,
+    so a single fault's tail, which reads the whole history (the counting
     oracle, the abstraction's inputs), is never shared."""
-    runs = degenerate = round1_splits = shared_tails = 0
+    runs = degenerate = round1_splits = judged_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
     ring = _root(n, k, gate)
     root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
-    for sc, path, outcome in _chains(root, k):
+
+    def judge(path: _Path) -> Tuple[Convergence, Mismatches]:
+        nonlocal judged_tails, round1_splits
+        judged_tails += 1
+        # Checks that have already failed need not watch this run's tail.
+        if "CA" in failed:
+            path.tree = None
+        if "SIM" in failed:
+            path.pre = None
+        ring = path.ring
+        last = ring.slot  # forked at its last fault, which has not run yet
+        end = ring.horizon if k == 1 else last + 2 * n
+        while ring.slot < end:
+            path.advance()
+            if k == 1 and ring.slot == last + n and len(partition_classes(ring)) > 1:
+                round1_splits += 1
+            if ring.slot == last + 2 * n:
+                judged = convergence(ring)
+        if k == 1 and "CA" not in failed:
+            c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
+            if c is not None:  # the closed form's mismatch goes ahead of the tree's
+                path.bad["CA"] = (f"slot {c.slot} s{c.sid}",
+                                  f"predicted {c.predicted}, ring held {c.actual}")
+        return judged, path.bad
+
+    def witness(faults: Chain, extra: str) -> Tuple[str, ...]:
+        sc = replace(root.ring.scenario, faults=faults)
+        return tuple(scenario_text(sc).splitlines()) + (extra,)
+
+    for faults, (judged, bad) in _chains(root, k, judge):
         if runs >= max_runs:
             raise _over_budget(n, k, max_runs)
         runs += 1
-        if path is None:  # an earlier sibling's tail stands for this chain
-            judged, bad = outcome[0]
-            shared_tails += 1
-        else:
-            # Checks that have already failed need not watch this run's tail.
-            if "CA" in failed:
-                path.tree = None
-            if "SIM" in failed:
-                path.pre = None
-            ring = path.ring
-            last = sc.faults[-1].slot
-            if k == 1:
-                while ring.slot < sc.total_slots:
-                    path.advance()
-                    if ring.slot == last + n and len(partition_classes(ring)) > 1:
-                        round1_splits += 1
-                    if ring.slot == last + 2 * n:
-                        judged = convergence(ring)
-                if "CA" not in failed:
-                    c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
-                    if c is not None:  # the closed form's mismatch goes ahead of the tree's
-                        path.bad["CA"] = (f"slot {c.slot} s{c.sid}",
-                                          f"predicted {c.predicted}, ring held {c.actual}")
-            else:
-                while ring.slot < last + 2 * n:
-                    path.advance()
-                judged = convergence(ring)
-            bad = path.bad
-            outcome.append((judged, bad))
         degenerate += judged.degenerate  # vacuous clique, not success
         if not judged.converged and "NC" not in failed:
             failed["NC"] = (
-                _scenario_witness(sc, f"classes at round-2 end: {judged.classes}"),
+                witness(faults, f"classes at round-2 end: {judged.classes}"),
                 "still partitioned two rounds after the last fault",
             )
         for prop in ("SIM", "CA"):
             if prop in bad and prop not in failed:
                 extra, detail = bad[prop]
-                failed[prop] = (_scenario_witness(sc, extra), detail)
+                failed[prop] = (witness(faults, extra), detail)
     scope = f"k={k} exhaustive ({runs} runs"
     if k == 1:
         scope += f", {round1_splits} round-1 splits"
@@ -531,7 +527,7 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     return SweepResult(n=n, runs=runs, verdicts=tuple(
         PropertyVerdict(prop, n, scope, prop not in failed, *failed.get(prop, ((), "")))
         for prop in (("NC", "CA", "SIM") if k == 1 else ("NC", "CA"))
-    ), shared_tails=shared_tails)
+    ), shared_tails=runs - judged_tails)
 
 
 def cross_check(

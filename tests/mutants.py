@@ -125,6 +125,10 @@ MUTANTS = [
      "budget: k >= 3 sampled again, 100 chains by default"),
     ("cli.py", "return range(lo, hi + 1)", "return list(range(lo, hi + 1))",
      "a ring-size range built in memory before the budget refuses it"),
+    ("checker.py", "if group not in outcomes:", "if not outcomes:",
+     "shared tails: every sibling of a fork takes the first one's outcome"),
+    ("checker.py", "yield faults + (fault,), outcomes[group]", "yield faults, outcomes[group]",
+     "the walk yields each chain without its last fault"),
 ]
 
 

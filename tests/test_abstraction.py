@@ -47,6 +47,17 @@ def test_fault_transition_splits_population():
     assert post.population() == 4
 
 
+def test_a_fault_input_beyond_the_ring_is_refused():
+    s = abstract_init(4)
+    assert names(abstract_successors(s, AbstractInputs(x=4))) == ["fault"]
+    for x in (5, -1):
+        try:
+            abstract_successors(s, AbstractInputs(x=x))
+            assert False, f"x={x} should be refused"
+        except ValueError as e:
+            assert str(e) == f"fault input needs 1 <= x <= n, got x={x}"
+
+
 def test_tick_is_a_self_loop():
     s = abstract_init(5)
     out = abstract_successors(s, AbstractInputs())

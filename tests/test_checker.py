@@ -202,6 +202,17 @@ def test_literal_guard_variant_changes_no_verdicts():
         assert literal == default
 
 
+def test_exploration_refuses_an_empty_state_budget():
+    # check_properties refuses it before calling explore, so explore's own
+    # refusal is reached only directly.
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=f"^the state budget must be at least 1, "
+                                             f"got {budget}$"):
+            explore(4, 2, max_states=budget)
+    with pytest.raises(ResourceCap, match="^exploration for n=4 x=2 passed 1 states$"):
+        explore(4, 2, max_states=1)
+
+
 def test_weak_gate_mutant_breaks_convergence():
     verdicts = {v.prop: v for v in check_properties(4, "any", weak_gate=True)}
     assert not verdicts["P1"].holds
@@ -347,14 +358,23 @@ def test_shared_tails_judge_as_their_full_runs(monkeypatch):
     real = checker._chains
     shared = []
 
-    def recording(root, k):
-        fed = {}  # id of a group's outcome list -> its tree watched the tail
-        for sc, path, outcome in real(root, k):
-            yield sc, path, outcome
-            if path is not None:  # the sweep has judged it by now
-                fed[id(outcome)] = path.tree is not None
-            else:
-                shared.append((sc, *outcome[0], fed[id(outcome)]))
+    def recording(root, k, judge):
+        # id of each judged outcome -> (the outcome, its tree watched the
+        # tail); holding the outcome keeps its id from being reused
+        judged = {}
+
+        def watched(path):
+            outcome = judge(path)
+            judged[id(outcome)] = (outcome, path.tree is not None)
+            return outcome
+
+        yielded = set()
+        for faults, outcome in real(root, k, watched):
+            yield faults, outcome
+            if id(outcome) in yielded:
+                sc = Scenario(root.ring.n, k + 3, faults)
+                shared.append((sc, *outcome, judged[id(outcome)][1]))
+            yielded.add(id(outcome))
 
     monkeypatch.setattr(checker, "_chains", recording)
     for ns, k, gate, max_runs, counts in (
@@ -380,12 +400,12 @@ def test_single_fault_sweeps_share_no_tail():
     assert [r.shared_tails for r in cross_check(range(3, 8))] == [0] * 5
 
 
-def _forks(scenarios):
-    """The walk's chains grouped by fork point, (earlier faults, last
+def _forks(chains):
+    """The walk's fault tuples grouped by fork point, (earlier faults, last
     slot), each with its last faults in the walk's order."""
     forks = {}
-    for sc in scenarios:
-        *earlier, fault = sc.faults
+    for faults in chains:
+        *earlier, fault = faults
         forks.setdefault((tuple(earlier), fault.slot), []).append(fault)
     return forks.items()
 
@@ -398,7 +418,8 @@ def test_accept_sets_step_alike_exactly_when_they_agree_on_the_decisive_receiver
     # step alike are the ones the sweep shares.
     for k, gate, chains, shared in ((2, "strict", None, 224), (2, "weak", None, 408),
                                     (3, "strict", 600, None)):
-        walk = (sc for sc, _, _ in checker._chains(checker._Path(checker._root(4, k, gate)), k))
+        root = checker._Path(checker._root(4, k, gate))
+        walk = (faults for faults, _ in checker._chains(root, k, lambda path: None))
         alike = 0
         for (earlier, slot), faults in _forks(islice(walk, chains)):
             ring = Ring(Scenario(4, k + 3, earlier), gate=gate, record=False).run_until(slot)
@@ -490,6 +511,8 @@ def test_sweeps_keep_their_work_and_their_gate_predictions(monkeypatch):
     # the ring and counter-tree steps stay as they are, and so does every
     # gate check the tree is fed, known k=3 mispredictions included (the
     # digest covers each (n, slot, sid, predicted, actual) in walk order).
+    # A scenario is built for each root ring, each fork and each failed
+    # check's witness, never for a chain that only takes a sibling's tail.
     calls = {}
 
     def counted(owner, name):
@@ -502,7 +525,8 @@ def test_sweeps_keep_their_work_and_their_gate_predictions(monkeypatch):
         monkeypatch.setattr(owner, name, call)
 
     for owner, name in ((Ring, "step"), (Ring, "fork"), (CounterTree, "observe"),
-                        (CounterTree, "predict_gate"), (ring_module, "receive_step")):
+                        (CounterTree, "predict_gate"), (ring_module, "receive_step"),
+                        (Scenario, "__init__")):
         counted(owner, name)
     feed = CounterTree.feed
     digest = hashlib.sha256()
@@ -523,6 +547,8 @@ def test_sweeps_keep_their_work_and_their_gate_predictions(monkeypatch):
     ):
         calls.clear()
         digest = hashlib.sha256()
-        cross_check(ns, k=k, max_runs=max_runs)
+        results = cross_check(ns, k=k, max_runs=max_runs)
         assert tuple(calls[name] for name in names) == work, (list(ns), k)
+        witnesses = sum(not v.holds for r in results for v in r.verdicts)
+        assert calls["__init__"] == calls["fork"] + len(ns) + witnesses, (list(ns), k)
         assert digest.hexdigest()[:16] == sha, (list(ns), k)

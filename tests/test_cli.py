@@ -120,6 +120,8 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
          "line 3", "outside horizon"),
         ("n = 4\nrounds = 2\nfault slot=9 accept=1\nrounds = 2\n",
          "line 4", "rounds is already set on line 2"),
+        ("n = 4\nrounds = 2\n\nfault slot=0 accept\n# end\n",
+         "line 4", "expected key=value, got 'accept'"),
         ("n = 4\nrounds = 4\nintegrate station=3 slot=9 bogus=1\n# end\n",
          "line 3", "unknown integrate argument(s) ['bogus']"),
         # A key given twice in one directive, whichever value would run.

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+import pytest
+
 from ttpmem.checker import kfault_scenarios
 from ttpmem.kfault import (
     CounterTree,
@@ -258,3 +260,19 @@ def test_gate_predictions_read_counters_and_the_owners_class_only():
                     predictions += 1
                 tree.observe(ev)
     assert predictions == 219298
+
+
+def test_the_oracles_refuse_what_they_do_not_cover():
+    # The closed form covers one fault only; the tree predicts gates of
+    # active stations only.  s3 fails its gate at slot 3 of the single-fault
+    # run, so from slot 4 on the tree has no gate to predict for it.
+    with pytest.raises(ValueError, match="^counting_gate_checks applies to single-fault runs$"):
+        counting_gate_checks(Ring(CASCADE).run())
+    ring = Ring(SINGLE_FAULT).run()
+    assert ring.departures[0] == (3, 3, "gate")
+    tree = CounterTree(4)
+    for ev in ring.events[:4]:
+        tree.feed(ev)
+    assert tree.predict_gate(0, 4) == ring.events[4].gate
+    with pytest.raises(ValueError, match="^s3 is not active at slot 4$"):
+        tree.predict_gate(3, 4)

@@ -483,6 +483,22 @@ def test_fork_runs_like_a_fresh_ring_and_leaves_its_parent_alone(record):
         assert parent.run().events == Ring(parent.scenario, record=record).run().events
 
 
+def test_a_ring_and_its_fork_stop_at_the_horizon():
+    # Both read the horizon fixed when the root ring was built: n * rounds.
+    ring = Ring(Scenario(n=4, rounds=3), record=False)
+    fork = ring.run_until(2).fork(FaultSpec(2, frozenset({0})))
+    for r in (ring, fork):
+        assert r.run().slot == r.horizon == 12
+        with pytest.raises(IndexError, match="^scenario horizon exhausted$"):
+            r.step()
+        assert r.slot == 12 and len(r.events) == 12
+
+
+def test_an_unknown_gate_is_refused():
+    with pytest.raises(ValueError, match="^gate must be 'strict' or 'weak', got 'lenient'$"):
+        Ring(SINGLE_FAULT, gate="lenient")
+
+
 def test_fork_refuses_a_fault_that_has_already_run():
     ring = Ring(Scenario(n=4, rounds=3), record=False).run_until(3)
     with pytest.raises(ValueError, match="already run"):
