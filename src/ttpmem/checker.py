@@ -27,11 +27,11 @@ The tails are shared too.  In the last fault's slot each receiver's step
 reads only its own state and whether the frame reaches it clean; the
 decisive receivers are those that a clean and a corrupted frame leave
 apart (``Ring.decisive_receivers``).  Siblings whose accept sets agree on
-them reach the same ring and tree, so the walk forks the first of them,
-asks the sweep's judge once for the group, and yields that judgement with
-every chain of the group.  A chain is its fault tuple: a scenario is built
-from it only to word a failed check's witness.  On the fault-free ring
-every receiver is decisive, so single-fault chains never share.
+them reach the same ring and tree, so the sweep's judge forks and runs
+the first of them once for the group, and the walk yields that judgement
+with every chain of the group.  A chain is its fault tuple: a scenario is
+built from it only to word a failed check's witness.  On the fault-free
+ring every receiver is decisive, so single-fault chains never share.
 
 The simulation check maps the ring afresh at every slot, so it stays
 independent of the automaton it checks, but it reads the automaton's moves
@@ -383,7 +383,8 @@ Chain = Tuple[FaultSpec, ...]
 J = TypeVar("J")
 
 
-def _chains(root: _Path, k: int, judge: Callable[[_Path], J]) -> Iterator[Tuple[Chain, J]]:
+def _chains(root: _Path, k: int,
+            judge: Callable[[_Path, FaultSpec], J]) -> Iterator[Tuple[Chain, J]]:
     """Every admissible chain of k faults, depth first from the fault-free
     ``root`` at slot 0: the first fault strikes a slot of the first round,
     each later one a slot at most one round after its predecessor whose
@@ -397,10 +398,10 @@ def _chains(root: _Path, k: int, judge: Callable[[_Path], J]) -> Iterator[Tuple[
     Yields each chain, in enumeration order, as its fault tuple and what
     ``judge`` made of it.  At the last fault, accept sets that agree on the
     slot's decisive receivers (``Ring.decisive_receivers``) step to the same
-    ring and event, so on to the same counter tree: the walk forks the first
-    chain of each such group, hands that path (its fault slot not yet run)
+    ring and event, so on to the same counter tree: the walk hands the path
+    (at the fault slot, not yet run) and the first fault of each such group
     to ``judge`` once, and yields the judgement for every chain of the
-    group."""
+    group.  The judge forks the path if it runs the fault."""
     n = root.ring.n
 
     def extend(path: _Path) -> Iterator[Tuple[Chain, J]]:
@@ -425,22 +426,22 @@ def _chains(root: _Path, k: int, judge: Callable[[_Path], J]) -> Iterator[Tuple[
                         continue
                     group = fault.accept & decisive
                     if group not in outcomes:
-                        outcomes[group] = judge(path.fork(fault))
+                        outcomes[group] = judge(path, fault)
                     yield faults + (fault,), outcomes[group]
 
     return extend(root)
 
 
-def _root(n: int, k: int, gate: str) -> Ring:
-    return Ring(Scenario(n=n, rounds=k + 3), gate=gate, record=False)
+def _root(n: int, k: int, weak_gate: bool = False) -> Ring:
+    return Ring(Scenario(n=n, rounds=k + 3), weak_gate=weak_gate, record=False)
 
 
 def kfault_scenarios(n: int, k: int) -> Iterable[Scenario]:
     """Every admissible placement of k faults on a ring with the strict
     clique gate, in the sweep's order: the chains of ``_chains``, whose
     walk runs each prefix once and forks the ring at every fault."""
-    root = _root(n, k, "strict")
-    for faults, _ in _chains(_Path(root), k, lambda path: None):
+    root = _root(n, k)
+    for faults, _ in _chains(_Path(root), k, lambda path, fault: None):
         yield replace(root.scenario, faults=faults)
 
 
@@ -448,7 +449,7 @@ def _over_budget(n: int, k: int, max_runs: int) -> ResourceCap:
     return ResourceCap(f"{k}-fault sweep for n={n} exceeded the budget of {max_runs} runs")
 
 
-def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
+def _sweep(n: int, k: int, max_runs: int, weak_gate: bool) -> SweepResult:
     """Run every chain of ``kfault_scenarios(n, k)`` and judge convergence
     two rounds after the last fault (NC) and the counter tree at every gate
     (CA); single-fault runs go on to the horizon and are also judged by the
@@ -461,21 +462,22 @@ def _sweep(n: int, k: int, max_runs: int, gate: str) -> SweepResult:
     fork: the same earlier faults and the same last fault slot) whose
     accept sets agree on that slot's decisive receivers: they reach the
     same ring and counter tree right after it (see ``_chains``).  The judge
-    runs the fault slot and the tail and returns the verdict and
-    mismatches, which are exact for every chain of the group, as siblings
-    also share the prefix and the fault slot's gate check.  Every chain is
-    still counted, and a witness is built from its fault tuple when a check
-    first fails on it.  On the fault-free ring every receiver is decisive,
-    so a single fault's tail, which reads the whole history (the counting
-    oracle, the abstraction's inputs), is never shared."""
+    forks the path with the fault and runs the fault slot and the tail; its
+    verdict and mismatches are exact for every chain of the group, as
+    siblings also share the prefix and the fault slot's gate check.  Every
+    chain is still counted, and a witness is built from its fault tuple
+    when a check first fails on it.  On the fault-free ring every receiver
+    is decisive, so a single fault's tail, which reads the whole history
+    (the counting oracle, the abstraction's inputs), is never shared."""
     runs = degenerate = round1_splits = judged_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
-    ring = _root(n, k, gate)
+    ring = _root(n, k, weak_gate)
     root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
 
-    def judge(path: _Path) -> Tuple[Convergence, Mismatches]:
+    def judge(path: _Path, fault: FaultSpec) -> Tuple[Convergence, Mismatches]:
         nonlocal judged_tails, round1_splits
         judged_tails += 1
+        path = path.fork(fault)
         # Checks that have already failed need not watch this run's tail.
         if "CA" in failed:
             path.tree = None
@@ -534,7 +536,7 @@ def cross_check(
     n_values: Sequence[int],
     k: int = 1,
     max_runs: Optional[int] = None,
-    gate: str = "strict",
+    weak_gate: bool = False,
 ) -> List[SweepResult]:
     """The concrete fault-chain sweep for each ring size; see ``_sweep``.
     Without ``max_runs`` a sweep may make ``RUN_BUDGET`` runs per ring
@@ -554,4 +556,4 @@ def cross_check(
         n > max_runs.bit_length() or n << (n - 1) > max_runs)), None)
     if over:
         raise _over_budget(over, k, max_runs)
-    return [_sweep(n, k, max_runs, gate) for n in n_values]
+    return [_sweep(n, k, max_runs, weak_gate) for n in n_values]

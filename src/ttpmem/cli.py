@@ -140,21 +140,13 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return EXIT_OK if judged.converged else EXIT_FAIL
 
 
-def _mutant_flags(mutant: Optional[str]) -> dict:
-    if mutant is None:
-        return {}
-    if mutant == "gate-weak":
-        return {"weak_gate": True}
-    if mutant == "no-strengthen":
-        return {"strengthened": False}
-    raise ValueError(f"unknown mutant {mutant!r}")
+# ``check --mutant``: each deliberately broken variant's check_properties flags.
+MUTANTS = {"gate-weak": {"weak_gate": True}, "no-strengthen": {"strengthened": False}}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
-    flags = _mutant_flags(args.mutant)
-    if args.literal_guard:
-        flags["literal_guard"] = True
+    flags = dict(MUTANTS.get(args.mutant, {}), literal_guard=args.literal_guard)
     lines: List[str] = []
     first_fail: Optional[PropertyVerdict] = None
     for n in ns:
@@ -257,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["any", "majority", "tie"])
     p.add_argument("--literal-guard", action="store_true",
                    help="use the bare later-round send guard")
-    p.add_argument("--mutant", choices=["gate-weak", "no-strengthen"],
+    p.add_argument("--mutant", choices=list(MUTANTS),
                    help="check a deliberately broken variant")
     p.add_argument("--max-states", type=int, default=200_000)
     p.add_argument("--out")

@@ -37,9 +37,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ring import Ring, SlotEvent
 
-# A slot owner's location before the slot: one that gates, one that integrates.
-_ACTIVE, _INTEGRATING = frozenset(("in", "agree", "disagree")), frozenset(("listen", "counting"))
-
 
 def expected_counter_count(k: int) -> int:
     """Closed form for the number of counters a k-fault tree needs: per
@@ -81,7 +78,7 @@ class CounterTree:
 
     def observe(self, ev: SlotEvent) -> None:
         slot, owner, owner_loc, emitted, _gate, departed, accepted = ev
-        if owner_loc in _INTEGRATING:
+        if not owner_loc.is_active and owner_loc.is_receiving:
             raise ValueError("counter tree is undefined while stations integrate")
         fault_slots = self.fault_slots
         if accepted is not None:
@@ -149,7 +146,7 @@ class CounterTree:
         the operands with the tree's prediction, then observe the event.
         Returns that comparison, or None for a slot without an active gate."""
         check = None
-        if ev.gate is not None and ev.owner_loc in _ACTIVE:
+        if ev.owner_loc.is_active:
             check = GateCheck(ev.slot, ev.owner, self.predict_gate(ev.owner, ev.slot),
                               ev.gate)
         self.observe(ev)
@@ -263,7 +260,7 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
     d_by_class = {"1": 0, "0": 0}
     for ev in ring.events:
         slot = ev.slot
-        if ev.gate is not None and ev.owner_loc in _ACTIVE:
+        if ev.owner_loc.is_active:
             if slot <= fault_slot:
                 predicted = (n, 0)
             elif slot < fault_slot + n:

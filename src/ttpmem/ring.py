@@ -14,9 +14,10 @@ branches; only a faulty frame reads the accept set and splits the classes.
 ``Ring.events`` is the run's history, one :class:`SlotEvent` per slot, and
 every consumer (oracles, abstraction map, renderers) reads it there; with
 ``record=True``, ``Ring.records`` adds each slot's post-slot station
-snapshot, which only the trace and table renderers print.  Most of a run's
-station rows repeat an earlier slot's, so each renderer formats a distinct
-row once per call and reuses its text.
+snapshot, which only the trace and table renderers print.  An event holds
+its owner's :class:`Location` member, a snapshot each location's text.
+Most of a run's station rows repeat an earlier slot's, so each renderer
+formats a distinct row once per call and reuses its text.
 
 Scenario file format: one directive per line, each key given once, '#'
 comments allowed.  The parsed :class:`Scenario` carries the line of each
@@ -299,13 +300,13 @@ def _copy(st: StationState) -> StationState:
 class SlotEvent(NamedTuple):
     """One slot of the run's history, and the only per-slot log the ring
     keeps: everything the counting oracles and the abstraction map are
-    allowed to see (no station-internal counters except the gate operands
-    at the moment the gate runs).  ``accepted`` is set on fault slots only,
-    so ``accepted is not None`` marks a fault."""
+    allowed to see (no station-internal counters except the gate operands,
+    which every active owner's slot carries).  ``accepted`` is set on fault
+    slots only, so ``accepted is not None`` marks a fault."""
 
     slot: int
     owner: int
-    owner_loc: str        # owner's location before the slot ran
+    owner_loc: Location   # owner's location before the slot ran
     emitted: bool
     gate: Optional[Tuple[int, int]]  # (acc, fail) at gate evaluation
     departed: Tuple[Tuple[int, str], ...]  # (sid, 'gate'|'second_check'|'integ_gate')
@@ -316,14 +317,12 @@ class Ring:
     """One executable scenario instance.  ``step()`` runs a single slot;
     ``run()`` drives to the horizon."""
 
-    def __init__(self, scenario: Scenario, gate: str = "strict", record: bool = True):
-        if gate not in ("strict", "weak"):
-            raise ValueError(f"gate must be 'strict' or 'weak', got {gate!r}")
+    def __init__(self, scenario: Scenario, weak_gate: bool = False, record: bool = True):
         scenario.validate()
         self.scenario = scenario
         self.n = scenario.n
         self.horizon = scenario.total_slots
-        self.weak_gate = gate == "weak"
+        self.weak_gate = weak_gate
         self.record = record
         self.stations: List[StationState] = [initial_station(i, self.n) for i in range(self.n)]
         self.labels: List[str] = [""] * self.n
@@ -331,9 +330,7 @@ class Ring:
         self.last_frame: Optional[Frame] = None
         self.events: List[SlotEvent] = []
         self.records: List[StationsSnapshot] = []
-        self._faults: Dict[int, FaultSpec] = {}
-        for f in scenario.faults:
-            self._faults[f.slot] = f
+        self._faults: Dict[int, FaultSpec] = {f.slot: f for f in scenario.faults}
         # slot -> (index into scenario.integrations, station) of each rejoin
         self._integrations: Dict[int, List[Tuple[int, int]]] = {}
         for i, ev in enumerate(scenario.integrations):
@@ -450,7 +447,7 @@ class Ring:
 
         # Positional, in field order: with keywords the constructor takes 1.5x as long.
         self.events.append(SlotEvent(
-            t, owner.sid, owner_loc._value_, frame is not None, gate_vals, tuple(departed),
+            t, owner.sid, owner_loc, frame is not None, gate_vals, tuple(departed),
             accepted))
         if self.record:
             self.records.append(_snapshot(stations))
@@ -614,7 +611,7 @@ def trace_lines(ring: Ring) -> List[str]:
 
 # A silent owner's note by its location before the slot; an active or
 # counting owner that stays silent has failed its gate.
-_SILENT_NOTES = {"listen": "silent (listening)", "failed": "silent (failed)"}
+_SILENT_NOTES = {Location.INTEG_LISTEN: "silent (listening)", Location.FAILED: "silent (failed)"}
 
 
 def render_run_tables(ring: Ring) -> str:

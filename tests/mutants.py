@@ -129,6 +129,23 @@ MUTANTS = [
      "shared tails: every sibling of a fork takes the first one's outcome"),
     ("checker.py", "yield faults + (fault,), outcomes[group]", "yield faults, outcomes[group]",
      "the walk yields each chain without its last fault"),
+    ("checker.py", "weak_gate=weak_gate, record=False)", "weak_gate=False, record=False)",
+     "sweeps: every root ring gets the strict gate"),
+    ("cli.py", '"gate-weak": {"weak_gate": True}', '"gate-weak": {"strengthened": False}',
+     "check --mutant gate-weak explores the unbudgeted automaton"),
+    ("ring.py", '{Location.INTEG_LISTEN: "silent (listening)", Location.FAILED: "silent (failed)"}',
+     '{Location.INTEG_LISTEN: "silent (failed)", Location.FAILED: "silent (listening)"}',
+     "tables: a listening and a failed owner's notes swapped"),
+    ("checker.py", "outcomes[group] = judge(path, fault)",
+     "outcomes[group] = judge(path.fork(fault), fault)",
+     "the walk forks a path for the judge, which forks it again"),
+    ("checker.py", "if c is not None:  # the closed form's mismatch goes ahead of the tree's",
+     'if c is not None and "CA" not in path.bad:',
+     "single fault: the tree's CA mismatch goes ahead of the closed form's"),
+    ("checker.py", "if round1_splits == 0:", "if round1_splits < 0:",
+     "k=1: NC holds although no chain was split after one round"),
+    ("checker.py", "if not conserves_population(s, post):", "if False:",
+     "exploration: a step that loses a station let through"),
 ]
 
 

@@ -63,6 +63,7 @@ def test_tick_is_a_self_loop():
     out = abstract_successors(s, AbstractInputs())
     assert names(out) == ["tick"]
     assert out[0].post == s
+    assert conserves_population(s, out[0].post)
 
 
 # A state one slot before the round boundary, matching the single-fault

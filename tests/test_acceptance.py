@@ -253,7 +253,7 @@ def test_criterion_9_mutation_sensitivity():
     weak = {v.prop: v for v in check_properties(4, "any", weak_gate=True)}
     weak_broken = [p for p in ("P1", "P7")
                    if not weak[p].holds and weak[p].witness]
-    [weak_sweep] = cross_check([4], gate="weak")
+    [weak_sweep] = cross_check([4], weak_gate=True)
     weak_nc = next(v for v in weak_sweep.verdicts if v.prop == "NC")
     lax = {v.prop: v for v in check_properties(4, "any", strengthened=False)}
     lax_broken = [p for p in ("P1", "P7")

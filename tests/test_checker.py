@@ -34,6 +34,7 @@ from ttpmem.abstraction import (
 )
 from ttpmem.checker import (
     PropertyVerdict,
+    StateGraph,
     check_P1,
     check_P2,
     check_P3,
@@ -41,9 +42,11 @@ from ttpmem.checker import (
     check_properties,
     cross_check,
     explore,
+    kfault_scenarios,
     x_values,
 )
-from ttpmem.kfault import CounterTree
+from ttpmem.kfault import CounterTree, GateCheck
+from ttpmem.protocol import SoundnessError
 from ttpmem.ring import (
     FaultSpec,
     ResourceCap,
@@ -202,6 +205,41 @@ def test_literal_guard_variant_changes_no_verdicts():
         assert literal == default
 
 
+def _successors_changed(change):
+    """The automaton's successors with ``change`` applied to the post-state
+    of every step taken after the fault."""
+    successors = checker.abstract_successors
+
+    def changed(s, inp, **flags):
+        return [t._replace(post=change(t.post)) if s.fault_seen else t
+                for t in successors(s, inp, **flags)]
+
+    return changed
+
+
+def test_exploration_refuses_a_step_that_loses_a_station(monkeypatch):
+    monkeypatch.setattr(checker, "abstract_successors",
+                        _successors_changed(lambda post: post._replace(cf=post.cf - 1)))
+    with pytest.raises(SoundnessError, match=r"^\w+ loses stations: AbstractState\("):
+        explore(4, 2)
+
+
+def test_exploration_refuses_a_step_past_a_class_budget(monkeypatch):
+    # The population is kept, but the rejecters are booked one frame more
+    # than they have members; only the budgeted automaton is held to that.
+    monkeypatch.setattr(checker, "abstract_successors",
+                        _successors_changed(lambda post: post._replace(d0=post.c0 + 1)))
+    with pytest.raises(SoundnessError, match=r"^\w+ broke a counter bound: AbstractState\("):
+        explore(4, 2)
+    assert explore(4, 2, strengthened=False).states
+
+
+def test_p3_holds_where_no_tie_race_is_decided():
+    g = StateGraph(4, 2)
+    g.add(abstract_init(4))
+    assert check_P3(g) == PropertyVerdict("P3", 4, "x=2", True)
+
+
 def test_exploration_refuses_an_empty_state_budget():
     # check_properties refuses it before calling explore, so explore's own
     # refusal is reached only directly.
@@ -249,7 +287,7 @@ def test_single_fault_sweep_is_exhaustive_and_clean():
 
 def test_weak_gate_ring_fails_the_convergence_sweep():
     for k in (1, 2):
-        [result] = cross_check([4], k=k, gate="weak")
+        [result] = cross_check([4], k=k, weak_gate=True)
         if k == 2:
             # chains whose second fault strikes a sender only the weak
             # gate lets through are part of the weak ring's sweep
@@ -348,6 +386,44 @@ def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypa
     assert sim.witness == ("n = 4", "rounds = 4", "fault slot=2 accept=", "slot 1")
 
 
+def test_the_closed_form_mismatch_goes_ahead_of_the_trees(monkeypatch):
+    # Both single-fault oracles mispredict on the first chain, the tree
+    # already at slot 0: CA reports the closed form's first mismatch.
+    monkeypatch.setattr(CounterTree, "predict_gate", lambda tree, sid, slot: (0, 0))
+    monkeypatch.setattr(checker, "counting_gate_checks", lambda ring: [
+        GateCheck(5, 2, (3, 0), (3, 0)), GateCheck(7, 1, (9, 9), (2, 1))])
+    [result] = cross_check([3])
+    ca = next(v for v in result.verdicts if v.prop == "CA")
+    assert (ca.holds, ca.detail) == (False, "predicted (9, 9), ring held (2, 1)")
+    assert ca.witness == ("n = 3", "rounds = 4", "fault slot=0 accept=", "slot 7 s1")
+
+
+def test_a_single_fault_sweep_without_a_round_one_split_fails_nc(monkeypatch):
+    # Were no chain still split one round after its fault, converging within
+    # two rounds would show nothing: NC fails, with the ring size as witness.
+    monkeypatch.setattr(checker, "partition_classes",
+                        lambda ring: {"": tuple(ring.active_ids())})
+    [result] = cross_check([4])
+    nc, ca, sim = result.verdicts
+    assert (nc.prop, nc.holds, nc.witness) == ("NC", False, ("n=4",))
+    assert nc.detail == "no scenario was still split after one round; two-round claim untestable"
+    assert nc.constraint == "k=1 exhaustive (32 runs, 0 round-1 splits)"
+    assert ca.holds and sim.holds
+
+
+def test_enumerating_the_chains_forks_a_ring_only_at_the_earlier_faults(monkeypatch):
+    # kfault_scenarios judges no path, so no ring is forked for a chain's
+    # last fault: one fork per chain of k-1 faults, and none for k=1.
+    forks = []
+    fork = Ring.fork
+    monkeypatch.setattr(Ring, "fork", lambda ring, fault: forks.append(fault) or fork(ring, fault))
+    for n, k, chains, forked in (*((n, 1, n << (n - 1), 0) for n in range(3, 8)),
+                                 (4, 2, 664, 32), (5, 2, 4820, 80), (4, 3, 7420, 696)):
+        forks.clear()
+        assert sum(1 for _ in kfault_scenarios(n, k)) == chains, (n, k)
+        assert len(forks) == forked, (n, k)
+
+
 def test_shared_tails_judge_as_their_full_runs(monkeypatch):
     # Every chain that takes an earlier sibling's outcome is also run in
     # full, from a fresh ring on its own scenario with a fresh counter tree:
@@ -355,17 +431,22 @@ def test_shared_tails_judge_as_their_full_runs(monkeypatch):
     # was given, and meet the same first mismatches.  The k=3 sweep runs on
     # past its first CA mismatch, after which it feeds a chain's tree only
     # up to its last fault; so does the full run of such a chain.
-    real = checker._chains
+    real, fork = checker._chains, checker._Path.fork
     shared = []
+    forked = []  # the path forked last: inside a judge, the one it runs
+
+    def fork_kept(path, fault):
+        forked[:] = [fork(path, fault)]
+        return forked[0]
 
     def recording(root, k, judge):
         # id of each judged outcome -> (the outcome, its tree watched the
         # tail); holding the outcome keeps its id from being reused
         judged = {}
 
-        def watched(path):
-            outcome = judge(path)
-            judged[id(outcome)] = (outcome, path.tree is not None)
+        def watched(path, fault):
+            outcome = judge(path, fault)
+            judged[id(outcome)] = (outcome, forked[0].tree is not None)
             return outcome
 
         yielded = set()
@@ -377,18 +458,20 @@ def test_shared_tails_judge_as_their_full_runs(monkeypatch):
             yielded.add(id(outcome))
 
     monkeypatch.setattr(checker, "_chains", recording)
-    for ns, k, gate, max_runs, counts in (
-        ([4, 5], 2, "strict", None, [224, 2720]),
-        ([4], 2, "weak", None, [408]),
-        ([4], 3, "strict", 8000, [2560]),
+    monkeypatch.setattr(checker._Path, "fork", fork_kept)
+    for ns, k, weak_gate, max_runs, counts in (
+        ([4, 5], 2, False, None, [224, 2720]),
+        ([4], 2, True, None, [408]),
+        ([4], 3, False, 8000, [2560]),
     ):
         shared.clear()
-        results = cross_check(ns, k=k, max_runs=max_runs, gate=gate)
+        results = cross_check(ns, k=k, max_runs=max_runs, weak_gate=weak_gate)
         assert [r.shared_tails for r in results] == counts
         assert len(shared) == sum(counts)
         for sc, judged, bad, fed in shared:
             last = sc.faults[-1].slot
-            full = checker._Path(Ring(sc, gate=gate, record=False), CounterTree(sc.n))
+            full = checker._Path(Ring(sc, weak_gate=weak_gate, record=False),
+                                 CounterTree(sc.n))
             while full.ring.slot < last + 2 * sc.n:
                 if full.ring.slot == last and not fed:
                     full.tree = None
@@ -416,13 +499,14 @@ def test_accept_sets_step_alike_exactly_when_they_agree_on_the_decisive_receiver
     # sibling's exactly when the two accept the same decisive receivers.
     # Probing leaves the ring as it was.  On the k=2 walks the siblings that
     # step alike are the ones the sweep shares.
-    for k, gate, chains, shared in ((2, "strict", None, 224), (2, "weak", None, 408),
-                                    (3, "strict", 600, None)):
-        root = checker._Path(checker._root(4, k, gate))
-        walk = (faults for faults, _ in checker._chains(root, k, lambda path: None))
+    for k, weak_gate, chains, shared in ((2, False, None, 224), (2, True, None, 408),
+                                         (3, False, 600, None)):
+        root = checker._Path(checker._root(4, k, weak_gate))
+        walk = (faults for faults, _ in checker._chains(root, k, lambda path, fault: None))
         alike = 0
         for (earlier, slot), faults in _forks(islice(walk, chains)):
-            ring = Ring(Scenario(4, k + 3, earlier), gate=gate, record=False).run_until(slot)
+            ring = Ring(Scenario(4, k + 3, earlier), weak_gate=weak_gate,
+                        record=False).run_until(slot)
             before = _ring_state(ring)
             decisive = ring.decisive_receivers()
             assert _ring_state(ring) == before
@@ -439,7 +523,7 @@ def test_accept_sets_step_alike_exactly_when_they_agree_on_the_decisive_receiver
                     assert (group == prev_group) == same, (earlier, faults[i])
             alike += len(stepped) - len({group for group, _, _ in stepped})
         if shared is not None:
-            assert alike == shared, (k, gate)
+            assert alike == shared, (k, weak_gate)
 
 
 def _ring_state(ring):
@@ -468,14 +552,14 @@ def test_each_single_fault_sweep_asks_the_automaton_once_per_distinct_step(monke
 
     monkeypatch.setattr(checker, "abstract_successors", counted_successors)
     monkeypatch.setattr(checker, "abstraction_map", checked_map)
-    for gate, n, asked, slots in (
-        ("strict", 3, 36, 134), ("strict", 4, 78, 467), ("strict", 5, 146, 1444),
-        ("strict", 6, 272, 4133), ("strict", 7, 396, 11206),
-        ("weak", 4, 75, 467), ("weak", 5, 146, 1444),
+    for weak_gate, n, asked, slots in (
+        (False, 3, 36, 134), (False, 4, 78, 467), (False, 5, 146, 1444),
+        (False, 6, 272, 4133), (False, 7, 396, 11206),
+        (True, 4, 75, 467), (True, 5, 146, 1444),
     ):
         calls.update(successors=0, map=0)
-        [result] = cross_check([n], gate=gate)
-        assert (calls["successors"], calls["map"]) == (asked, slots + 1), (gate, n)
+        [result] = cross_check([n], weak_gate=weak_gate)
+        assert (calls["successors"], calls["map"]) == (asked, slots + 1), (weak_gate, n)
         assert next(v for v in result.verdicts if v.prop == "SIM").holds
 
 
@@ -484,8 +568,8 @@ def broken_rule_sweeps() -> str:
     ``r0_send_later_round`` successors dropped from the automaton, strict
     gate then weak."""
     lines = []
-    for gate in ("strict", "weak"):
-        for result in cross_check(range(3, 7), gate=gate):
+    for gate, weak_gate in (("strict", False), ("weak", True)):
+        for result in cross_check(range(3, 7), weak_gate=weak_gate):
             for v in result.verdicts:
                 lines += [f"{gate} {v.report_line()}", *(f"  {w}" for w in v.witness)]
     return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ from ttpmem.kfault import (
     expected_counter_count,
     tree_gate_checks,
 )
+from ttpmem.protocol import Location
 from ttpmem.ring import FaultSpec, IntegrationSpec, Ring, Scenario, SlotEvent
 
 SINGLE_FAULT = Scenario(n=4, rounds=3, faults=(FaultSpec(0, frozenset({2})),))
@@ -86,7 +87,7 @@ def test_counting_oracle_agrees_with_tree_on_one_fault():
 
 def fault_event(slot: int, owner: int, accepted: tuple) -> SlotEvent:
     return SlotEvent(
-        slot=slot, owner=owner, owner_loc="agree", emitted=True,
+        slot=slot, owner=owner, owner_loc=Location.ACTIVE_AGREE, emitted=True,
         gate=None, departed=(), accepted=accepted,
     )
 
@@ -248,7 +249,8 @@ def test_gate_predictions_read_counters_and_the_owners_class_only():
         for sc in kfault_scenarios(n, k):
             tree = CounterTree(n)
             for ev in Ring(sc, record=False).run().events:
-                if ev.gate is not None and ev.owner_loc in ("in", "agree", "disagree"):
+                if ev.owner_loc.value in ("in", "agree", "disagree"):
+                    assert ev.gate is not None, (sc, ev.slot)  # an active owner gates
                     want = reference_predict_gate(tree, ev.owner, ev.slot)
                     label, active, last = tree.label, tree.active, tree.last_emission
                     tree.label, tree.active = {ev.owner: label[ev.owner]}, {ev.owner}

@@ -146,6 +146,12 @@ def test_second_successor_convicts_me():
     assert (me.member, me.acc, me.fail) == (0, 0, 0)
 
 
+def test_a_second_successor_check_needs_a_first_successor():
+    me = station(0, 4, "1011", 1, 1, check=CheckPhase.AWAIT_SECOND, first=None)
+    with pytest.raises(SoundnessError, match="^s0 awaits a second successor without a first$"):
+        receive_step(me, Frame(2, vec("1011")), clean=True)
+
+
 def test_corrupted_frame_fails_every_check_variant():
     me = station(0, 4, "1011", 1, 1, check=CheckPhase.AWAIT_SECOND, first=1)
     # Content would convict me, but the frame is corrupted for this receiver:

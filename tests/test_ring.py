@@ -220,7 +220,7 @@ def reference_tables(ring):
     blocks = [table("initial state",
                     [(st.member, st.acc, st.fail, st.location.value) for st in initial])]
     for ev, stations in zip(ring.events, ring.records):
-        note = "sent" if ev.emitted else notes.get(ev.owner_loc, "silent (gate failed)")
+        note = "sent" if ev.emitted else notes.get(ev.owner_loc.value, "silent (gate failed)")
         blocks.append(table(f"after slot {ev.slot} - s{ev.owner} {note}", stations))
     return "\n\n".join(blocks) + "\n"
 
@@ -264,7 +264,7 @@ def test_a_rejoiner_takes_the_label_of_the_class_whose_vector_it_shares():
     assert ring.station(0).location is Location.INTEG_COUNTING
     ring.step()
     ev = ring.events[-1]
-    assert (ev.owner, ev.owner_loc, ev.emitted) == (0, "counting", True)
+    assert (ev.owner, ev.owner_loc, ev.emitted) == (0, Location.INTEG_COUNTING, True)
     assert vector_str(ring.station(0).member, 4) == "1011"
     assert ring.labels == ["01", "00", "01", "01"]
     assert partition_classes(ring) == {"00": (1,), "01": (0, 2, 3)}
@@ -429,7 +429,7 @@ def test_every_single_fault_departure_rejoins_and_the_ring_converges():
                         if sid in judged.active:
                             ends["clique"] += 1
                             reentry[next(e.slot for e in ring.events if e.owner == sid
-                                         and e.owner_loc == "counting" and e.emitted) - slot] += 1
+                                         and e.owner_loc is Location.INTEG_COUNTING and e.emitted) - slot] += 1
                         else:
                             assert ring.station(sid).location is Location.FAILED
                             ends["failed"] += 1
@@ -492,11 +492,6 @@ def test_a_ring_and_its_fork_stop_at_the_horizon():
         with pytest.raises(IndexError, match="^scenario horizon exhausted$"):
             r.step()
         assert r.slot == 12 and len(r.events) == 12
-
-
-def test_an_unknown_gate_is_refused():
-    with pytest.raises(ValueError, match="^gate must be 'strict' or 'weak', got 'lenient'$"):
-        Ring(SINGLE_FAULT, gate="lenient")
 
 
 def test_fork_refuses_a_fault_that_has_already_run():

@@ -65,3 +65,26 @@ def test_the_mutant_runner_refuses_a_mutant_that_does_not_compile(monkeypatch, c
     assert runner.main([str(len(runner.MUTANTS))]) == 2
     assert capsys.readouterr().out.startswith(
         f"mutant {len(runner.MUTANTS)}: ring.py does not compile once mutated")
+
+
+def test_every_bench_tracer_target_resolves_in_the_package():
+    # bench/spans.py patches each attribute it names, on a module or a class
+    # in it; one renamed away in src/ would read zero in the per-layer
+    # metrics, and only the bench's own tests, outside this suite, would
+    # notice.  The file is parsed, not imported.
+    path = Path(__file__).parent.parent / "bench" / "spans.py"
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS"
+    ]
+    missing = []
+    for span, where, attr in targets:
+        module, _, cls = where.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls, None)
+        if not hasattr(owner, attr):
+            missing.append(f"{span}: {where}.{attr}")
+    assert targets
+    assert missing == []
