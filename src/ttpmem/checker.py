@@ -76,6 +76,8 @@ from .ring import (
 # n=8 (720,832 chains), k=3 at n=5 (148,120) and k=4 at n=4 (56,092) fit,
 # k=1 from n=17 (n * 2**(n-1) chains) does not.
 RUN_BUDGET = 1_000_000
+# Abstract states an exploration may reach per (n, x) before it is refused.
+STATE_BUDGET = 200_000
 
 
 # -- abstract state-space exploration -----------------------------------------
@@ -116,7 +118,7 @@ def explore(
     weak_gate: bool = False,
     strengthened: bool = True,
     literal_guard: bool = False,
-    max_states: int = 200_000,
+    max_states: int = STATE_BUDGET,
 ) -> StateGraph:
     if max_states < 1:
         raise ValueError(f"the state budget must be at least 1, got {max_states}")
@@ -285,7 +287,7 @@ def check_properties(
     weak_gate: bool = False,
     strengthened: bool = True,
     literal_guard: bool = False,
-    max_states: int = 200_000,
+    max_states: int = STATE_BUDGET,
 ) -> List[PropertyVerdict]:
     """All six properties for one ring size.  P2 is checked on the majority
     part of the x-range, P3/P4 on the tie part, P1/P6/P7 everywhere."""
@@ -477,12 +479,9 @@ def _sweep(n: int, k: int, max_runs: int, weak_gate: bool) -> SweepResult:
     def judge(path: _Path, fault: FaultSpec) -> Tuple[Convergence, Mismatches]:
         nonlocal judged_tails, round1_splits
         judged_tails += 1
-        path = path.fork(fault)
         # Checks that have already failed need not watch this run's tail.
-        if "CA" in failed:
-            path.tree = None
-        if "SIM" in failed:
-            path.pre = None
+        path = _Path(path.ring, None if "CA" in failed else path.tree,
+                     None if "SIM" in failed else path.pre, path.bad, path.moves).fork(fault)
         ring = path.ring
         last = ring.slot  # forked at its last fault, which has not run yet
         end = ring.horizon if k == 1 else last + 2 * n

@@ -27,6 +27,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .checker import (
+    RUN_BUDGET,
+    STATE_BUDGET,
     PropertyVerdict,
     check_properties,
     cross_check,
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the bare later-round send guard")
     p.add_argument("--mutant", choices=list(MUTANTS),
                    help="check a deliberately broken variant")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=int, default=STATE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1,
                    help="faults per scenario (every admissible chain is run)")
     p.add_argument("--max-runs", type=int,
-                   help="runs per ring size (default 1000000); more exits 3")
+                   help=f"runs per ring size (default {RUN_BUDGET}); more exits 3")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cross_check)
 

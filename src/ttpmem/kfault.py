@@ -1,16 +1,20 @@
 """Counter tree for runs with several asymmetric faults, and the counting
 oracles that predict every clique-gate comparison from bus-observable events.
 
-Each fault splits every existing class in two (vouchers get label suffix
-'1', everyone else '0'), giving a binary tree whose depth grows with the
-fault count.  Per class the tree keeps a population counter C_w and an
-emission counter d_w for the round that started at the fault which created
-the level; the leaf level additionally carries two auxiliary counters per
-class — d^A_w (emissions in the current window) and d^F_w (slots where a
-class member's frame went missing from the window: its gate failed, or it
-is gone and its last frame just aged out of the window).  They reset at
-every round boundary of any fault: ``observe`` zeroes them once, at the end
-of the slot before the one that opens a fault's next round.
+The tree starts as the single class '' of all n stations, which the first
+fault splits like any later one: each fault splits every existing class in
+two (vouchers get label suffix '1', everyone else '0'), giving a binary
+tree whose depth grows with the fault count.  A split relabels every
+station, so every label is a key of the newest level and of its
+auxiliaries, and no station leaves before the first fault: ``observe``
+counts by label without a guard.  Per class the tree keeps a population
+counter C_w and an emission counter d_w for the round that started at the
+fault which created the level; the leaf level additionally carries two
+auxiliary counters per class — d^A_w (emissions in the current window) and
+d^F_w (slots where a class member's frame went missing from the window: its
+gate failed, or it is gone and its last frame just aged out of the window).
+They reset at every round boundary of any fault: ``observe`` zeroes them
+once, at the end of the slot before the one that opens a fault's next round.
 
 ``predict_gate`` turns those counters into the (acc, fail) pair an active
 station must hold when its own slot comes up, selecting the arithmetic by
@@ -89,27 +93,20 @@ class CounterTree:
                 w = self.label[owner]
                 if slot < fault_slots[-1] + self.n:
                     self.levels[-1][w][1] += 1
-                if w in self.aux_a:
-                    self.aux_a[w] += 1
+                self.aux_a[w] += 1
             self.last_emission[owner] = slot
-        elif owner not in self.active:
-            # A gone station's slot: if its last frame was exactly one
-            # round ago, gaters' windows lose it right now.
-            if fault_slots and self.last_emission[owner] == slot - self.n:
-                w = self.label[owner]
-                if w in self.aux_f:
-                    self.aux_f[w] += 1
+        elif owner not in self.active and self.last_emission[owner] == slot - self.n:
+            # A gone station's slot, one round after its last frame: gaters'
+            # windows lose that frame right now.
+            self.aux_f[self.label[owner]] += 1
         # Departures (the owner's failed gate, or a sender convicted by its
         # successors' verdicts mid-slot) shrink the class populations.
         for sid, kind in departed:
-            if sid not in self.active:
-                continue
-            self.active.discard(sid)
-            if fault_slots:
-                w = self.label[sid]
-                self.levels[-1][w][0] -= 1
-                if kind == "gate" and w in self.aux_f:
-                    self.aux_f[w] += 1
+            self.active.remove(sid)
+            w = self.label[sid]
+            self.levels[-1][w][0] -= 1
+            if kind == "gate":
+                self.aux_f[w] += 1
         # The next slot opens a fault's next round: its window starts afresh.
         if slot + 1 - self.n in fault_slots:
             for w in self.aux_a:
@@ -122,21 +119,15 @@ class CounterTree:
         vouched = set(accepted) | {emitter}
         for sid in self.label:
             self.label[sid] = old_label[sid] + ("1" if sid in vouched else "0")
+        prev = self.levels[-1] if self.levels else {"": [self.n, 0]}
         new_level: Dict[str, List[int]] = {}
-        if self.levels:
-            prev = self.levels[-1]
-            emitter_class = old_label[emitter]
-            for w, (c, _d) in prev.items():
-                if w == emitter_class:
-                    c1 = 1 + len(accepted)
-                    new_level[w + "1"] = [c1, 1]
-                    new_level[w + "0"] = [c - c1, 0]
-                else:
-                    new_level[w + "0"] = [c, 0]
-        else:
-            x = 1 + len(accepted)
-            new_level["1"] = [x, 1]
-            new_level["0"] = [self.n - x, 0]
+        for w, (c, _d) in prev.items():
+            if w == old_label[emitter]:
+                c1 = 1 + len(accepted)
+                new_level[w + "1"] = [c1, 1]
+                new_level[w + "0"] = [c - c1, 0]
+            else:
+                new_level[w + "0"] = [c, 0]
         self.levels.append(new_level)
         self.aux_a = {w: (1 if w == old_label[emitter] + "1" else 0) for w in new_level}
         self.aux_f = {w: 0 for w in new_level}

@@ -50,8 +50,8 @@ MUTANTS = [
      "settled: same-class headcount read from the wrong leaf"),
     ("kfault.py", "c1 = 1 + len(accepted)", "c1 = len(accepted)",
      "_split: the emitter left out of its vouchers' class"),
-    ("kfault.py", 'new_level["0"] = [self.n - x, 0]', 'new_level["0"] = [self.n - x, 1]',
-     "_split: the first fault's rejecters start with one frame"),
+    ("kfault.py", 'new_level[w + "0"] = [c - c1, 0]', 'new_level[w + "0"] = [c - c1, 1]',
+     "_split: the emitter's rejecters start with one frame"),
     ("kfault.py", "if slot + 1 - self.n in fault_slots:",
      "if slot - self.n in fault_slots:",
      "aux counters reset one slot late"),
@@ -146,6 +146,20 @@ MUTANTS = [
      "k=1: NC holds although no chain was split after one round"),
     ("checker.py", "if not conserves_population(s, post):", "if False:",
      "exploration: a step that loses a station let through"),
+    ("kfault.py", '{"": [self.n, 0]}', '{"": [self.n - 1, 0]}',
+     "_split: the root class starts one station short"),
+    ("kfault.py", 'if kind == "gate":', 'if kind != "gate":',
+     "departures: a convicted sender's frame counted missing, not a failed gate's"),
+    ("kfault.py", "self.aux_f[self.label[owner]] += 1", "self.aux_f[self.label[owner]] += 0",
+     "a gone station's aged-out frame never counted missing"),
+    ("checker.py", 'path = _Path(path.ring, None if "CA" in failed else path.tree,\n'
+     '                     None if "SIM" in failed else path.pre, path.bad, path.moves).fork(fault)',
+     "path = path.fork(fault)\n"
+     '        if "CA" in failed:\n'
+     "            path.tree = None\n"
+     '        if "SIM" in failed:\n'
+     "            path.pre = None",
+     "the judge copies the tree of a failed CA check, then drops it"),
 ]
 
 

@@ -595,23 +595,28 @@ def test_sweeps_keep_their_work_and_their_gate_predictions(monkeypatch):
     # the ring and counter-tree steps stay as they are, and so does every
     # gate check the tree is fed, known k=3 mispredictions included (the
     # digest covers each (n, slot, sid, predicted, actual) in walk order).
-    # A scenario is built for each root ring, each fork and each failed
-    # check's witness, never for a chain that only takes a sibling's tail.
+    # Nor from copying more: a tree is forked only for a path that feeds it,
+    # so after CA has failed the judge forks none.  A scenario is built for
+    # each root ring, each fork and each failed check's witness, never for a
+    # chain that only takes a sibling's tail.
     calls = {}
 
-    def counted(owner, name):
+    def counted(owner, name, key):
         real = getattr(owner, name)
 
         def call(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[key] = calls.get(key, 0) + 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, call)
 
-    for owner, name in ((Ring, "step"), (Ring, "fork"), (CounterTree, "observe"),
-                        (CounterTree, "predict_gate"), (ring_module, "receive_step"),
-                        (Scenario, "__init__")):
-        counted(owner, name)
+    for owner, name, key in ((Ring, "step", "step"), (Ring, "fork", "fork"),
+                             (CounterTree, "fork", "tree_fork"),
+                             (CounterTree, "observe", "observe"),
+                             (CounterTree, "predict_gate", "predict_gate"),
+                             (ring_module, "receive_step", "receive_step"),
+                             (Scenario, "__init__", "__init__")):
+        counted(owner, name, key)
     feed = CounterTree.feed
     digest = hashlib.sha256()
 
@@ -622,12 +627,12 @@ def test_sweeps_keep_their_work_and_their_gate_predictions(monkeypatch):
         return c
 
     monkeypatch.setattr(CounterTree, "feed", fed)
-    names = ("step", "fork", "observe", "predict_gate", "receive_step")
+    names = ("step", "fork", "observe", "predict_gate", "receive_step", "tree_fork")
     for ns, k, max_runs, work, sha in (
-        ([4], 2, None, (3651, 472, 3651, 2851, 5345), "3b1cac7a04bf8655"),
-        ([5], 2, None, (21404, 2180, 21404, 17104, 41076), "11e9452dc900e629"),
-        (range(3, 7), 1, None, (6178, 316, 6178, 4934, 15182), "7563be34c73e627e"),
-        ([4], 3, 7420, (41667, 5556, 3531, 3093, 47013), "6738fc51413b8a5b"),
+        ([4], 2, None, (3651, 472, 3651, 2851, 5345, 472), "3b1cac7a04bf8655"),
+        ([5], 2, None, (21404, 2180, 21404, 17104, 41076, 2180), "11e9452dc900e629"),
+        (range(3, 7), 1, None, (6178, 316, 6178, 4934, 15182, 316), "7563be34c73e627e"),
+        ([4], 3, 7420, (41667, 5556, 3531, 3093, 47013, 789), "6738fc51413b8a5b"),
     ):
         calls.clear()
         digest = hashlib.sha256()
