@@ -3,16 +3,18 @@
 Stations are anonymous here: the state keeps only the counters that the
 rules read.  Before the fault nothing changes from slot to slot, so the
 state is one fixed point.  After it the state holds population counters
-per class (c1 = vouched for the faulty frame, c0 = rejected it, cf =
-failed) plus progress counters within the current round — d1/d0 = frames
-sent by each class since the round started, df = slots that passed
-silently, cp = slots elapsed in the round, r = rounds completed since the
-fault, kept as 0, 1 or 2 (= two or more), the only distinctions the rules
-draw.  The graph is therefore finite by construction.  One abstract
-transition corresponds to one slot of the concrete ring; the slot owner's
-class is the nondeterminism.  States, inputs and transitions are named
-tuples: a state is its vector of counters and flags, and it hashes and
-compares as that tuple.
+per class (c1 = vouched for the faulty frame, c0 = rejected it) plus
+progress counters within the current round — d1/d0 = frames sent by each
+class since the round started, df = slots that passed silently, r =
+rounds completed since the fault, kept as 0, 1 or 2 (= two or more), the
+only distinctions the rules draw.  The graph is therefore finite by
+construction.  Derived, not stored, as every rule would have to keep them in
+step: cf = n - c0 - c1 failed stations (no step loses a station) and cp =
+d0 + d1 + df, the slot position in the round (each slot is a frame or a
+silence).  One abstract transition corresponds to one slot of the concrete
+ring; the slot owner's class is the nondeterminism.  States, inputs and
+transitions are named tuples: a state is its vector of stored counters and
+flags, and it hashes and compares as that tuple.
 
 Inputs per step: ``x`` (when at least 1, the asymmetric fault strikes now,
 splitting the ring into x vouchers and n-x rejecters), and ``g`` (at the
@@ -44,8 +46,6 @@ class AbstractState(NamedTuple):
     n: int
     c0: int     # active rejecters of the faulty frame
     c1: int     # active vouchers (the faulty sender included)
-    cf: int     # failed stations
-    cp: int     # slot position within the current round, 1..n
     r: int      # completed rounds since the fault: 0, 1 or 2 (= two or more)
     d0: int     # rejecter-class frames sent this round
     d1: int     # voucher-class frames sent this round
@@ -53,8 +53,13 @@ class AbstractState(NamedTuple):
     fault_seen: bool = False
     g_exit: bool = False  # the faulty sender left via its successors' verdict
 
-    def population(self) -> int:
-        return self.c0 + self.c1 + self.cf
+    @property
+    def cf(self) -> int:  # failed stations
+        return self.n - self.c0 - self.c1
+
+    @property
+    def cp(self) -> int:  # slot position within the current round, 1..n
+        return self.d0 + self.d1 + self.df
 
 
 class AbstractInputs(NamedTuple):
@@ -71,9 +76,9 @@ G_INPUT = AbstractInputs(g=True)
 def abstract_init(n: int) -> AbstractState:
     # d1 = c1 = 1 before the fault: the future faulty sender is counted as
     # having sent this round, so the fault slot itself needs no special
-    # progress bookkeeping.
+    # progress bookkeeping.  c0 = n-1 keeps cf at 0 until the fault re-books both.
     return AbstractState(
-        n=n, c0=0, c1=1, cf=0, cp=1, r=0, d0=0, d1=1, df=0,
+        n=n, c0=n - 1, c1=1, r=0, d0=0, d1=1, df=0,
         fault_seen=False, g_exit=False,
     )
 
@@ -128,13 +133,12 @@ def abstract_successors(
             else:
                 phase, acc, fail = "later_round", c, c_other
             if not (acc > fail or (weak_gate and acc == fail)):
-                add(f"r{z}_fail_{phase}", False,
-                    cp=s.cp + 1, cf=s.cf + 1, df=s.df + 1, **{"c" + z: c - 1})
+                add(f"r{z}_fail_{phase}", False, df=s.df + 1, **{"c" + z: c - 1})
             # After a silent departure of the faulty sender at the rollover,
             # the first two slots of the new round belong to the stations
             # that rejected it back then; they cannot be voucher sends.
             elif literal_guard or not (z == "1" and s.r == 1 and s.g_exit and s.cp in (1, 2)):
-                add(f"r{z}_send_{phase}", True, cp=s.cp + 1, **{"d" + z: d + 1})
+                add(f"r{z}_send_{phase}", True, **{"d" + z: d + 1})
         elif roll and (d == c or not strengthened):
             # At the faulty sender's own slot, with g both successor checks
             # convicted it during the round: it leaves without sending.  The
@@ -144,29 +148,20 @@ def abstract_successors(
             passes = c > c_other or (weak_gate and c == c_other)
             if passes and not g_exit:
                 add(f"r{z}_send_rollover", True,
-                    cp=1, r=r_next, df=0, **{"d" + z: 1, "d" + o: 0})
+                    r=r_next, df=0, **{"d" + z: 1, "d" + o: 0})
             else:
                 add("r1_guess_exit_rollover" if passes else f"r{z}_fail_rollover",
-                    False, cp=1, r=r_next, cf=s.cf + 1, d0=0, d1=0, df=1,
+                    False, r=r_next, d0=0, d1=0, df=1,
                     g_exit=s.g_exit or g_exit, **{"c" + z: c - 1})
 
     # -- slots of failed stations --------------------------------------------
     if s.cf > 0:
         if mid and (s.df < s.cf or not strengthened):
-            add("idle_slot", False, cp=s.cp + 1, df=s.df + 1)
+            add("idle_slot", False, df=s.df + 1)
         if roll and (s.df == s.cf or not strengthened):
-            add("idle_rollover", False, cp=1, r=r_next, df=1, d0=0, d1=0)
+            add("idle_rollover", False, r=r_next, df=1, d0=0, d1=0)
 
     return out
-
-
-def conserves_population(pre: AbstractState, post: AbstractState) -> bool:
-    """Post-fault slot steps move stations between classes, never lose them."""
-    if not post.fault_seen:
-        return True
-    if not pre.fault_seen:  # the fault step itself re-bases the population
-        return post.population() == pre.n
-    return post.population() == pre.population()
 
 
 # -- concrete-to-abstract map -------------------------------------------------
@@ -223,12 +218,10 @@ def abstraction_map(ring: Ring) -> AbstractState:
         return abstract_init(n)
 
     exit_slot = _sender_exit(ring, fault_slot)
-    cf = n - c1 - c0
     if exit_slot is not None and sigma <= fault_slot + n:
         c1 += 1
-        cf -= 1
 
-    r, cp = divmod(sigma - 1 - fault_slot, n)  # slots completed after the fault slot
+    r = (sigma - 1 - fault_slot) // n  # rounds completed after the fault slot
     events = ring.events
     d0 = d1 = df = 0
     for t in range(fault_slot + n * r, sigma):
@@ -241,7 +234,7 @@ def abstraction_map(ring: Ring) -> AbstractState:
             d0 += 1
 
     return AbstractState(
-        n=n, c0=c0, c1=c1, cf=cf, cp=cp + 1, r=min(r, 2), d0=d0, d1=d1, df=df,
+        n=n, c0=c0, c1=c1, r=min(r, 2), d0=d0, d1=d1, df=df,
         fault_seen=True, g_exit=exit_slot is not None and sigma > fault_slot + n,
     )
 

@@ -55,7 +55,6 @@ from .abstraction import (
     abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
-    conserves_population,
 )
 from .kfault import CounterTree, counting_gate_checks
 from .kfault import tree_gate_checks  # noqa: F401  (bench/spans.py patches it here)
@@ -143,8 +142,6 @@ def explore(
                     if (tr.name, post) in seen_here:
                         continue
                     seen_here.add((tr.name, post))
-                    if not conserves_population(s, post):
-                        raise SoundnessError(f"{tr.name} loses stations: {s} -> {post}")
                     # per-round budgets keep the d-counters below the class
                     # populations; the unbudgeted mutant may not
                     if strengthened and not (

@@ -183,14 +183,15 @@ class Scenario:
 
 def _ids(value: str) -> frozenset:
     """The ids of a comma-separated accept list, none of them empty or
-    repeated; "" is the empty list."""
+    repeated; "" is the empty list.  A malformed list raises ScenarioError,
+    an item that is no integer the ValueError of ``int``."""
     ids: set = set()
     for item in value.split(",") if value else ():
         if not item:
-            raise ValueError(f"accept list {value!r} has an empty item")
+            raise ScenarioError(f"accept list {value!r} has an empty item")
         i = int(item)
         if i in ids:
-            raise ValueError(f"accept list {value!r} names {i} twice")
+            raise ScenarioError(f"accept list {value!r} names {i} twice")
         ids.add(i)
     return frozenset(ids)
 
@@ -219,11 +220,15 @@ def _directive(keyword: str, parts: Sequence[str], lineno: int):
     if not all(k in args for k in required):
         raise ScenarioError(f"line {lineno}: {keyword} needs "
                             + " and ".join(f"{k}=" for k in required))
-    try:
-        values = {k: read(args.get(k, "")) for k, read in optional.items()}
-        values.update((k, int(args[k])) for k in required)
-    except ValueError as e:
-        raise ScenarioError(f"line {lineno}: {e}") from None
+    values = {}
+    for key, read in [*optional.items(), *((k, int) for k in required)]:
+        try:
+            values[key] = read(args.get(key, ""))
+        except ScenarioError as e:
+            raise ScenarioError(f"line {lineno}: {e}") from None
+        except ValueError:  # an absent key reads "", which every reader takes
+            raise ScenarioError(f"line {lineno}: {keyword} {key}= needs an integer, "
+                                f"got {args[key]!r}") from None
     extra = set(args) - set(required) - set(optional)
     if extra:
         raise ScenarioError(f"line {lineno}: unknown {keyword} argument(s) {sorted(extra)}")

@@ -144,8 +144,6 @@ MUTANTS = [
      "single fault: the tree's CA mismatch goes ahead of the closed form's"),
     ("checker.py", "if round1_splits == 0:", "if round1_splits < 0:",
      "k=1: NC holds although no chain was split after one round"),
-    ("checker.py", "if not conserves_population(s, post):", "if False:",
-     "exploration: a step that loses a station let through"),
     ("kfault.py", '{"": [self.n, 0]}', '{"": [self.n - 1, 0]}',
      "_split: the root class starts one station short"),
     ("kfault.py", 'if kind == "gate":', 'if kind != "gate":',
@@ -160,6 +158,10 @@ MUTANTS = [
      '        if "SIM" in failed:\n'
      "            path.pre = None",
      "the judge copies the tree of a failed CA check, then drops it"),
+    ("abstraction.py", "return self.d0 + self.d1 + self.df", "return self.d0 + self.d1",
+     "slot position: silent slots left out of the round"),
+    ("abstraction.py", "return self.n - self.c0 - self.c1", "return self.n - self.c0",
+     "failed stations: the vouchers counted as failed"),
 ]
 
 

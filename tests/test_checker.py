@@ -101,8 +101,9 @@ def explored_graphs() -> str:
             for x in range(1, n + 1):
                 g = explore(n, x, **flags)
                 assert all(s.r <= 2 for s in g.states)
-                # a round's slots so far are its frames sent plus its silent slots
-                assert all(s.d0 + s.d1 + s.df == s.cp for s in g.states if s.fault_seen)
+                # the derived slot position stays within the round, and the
+                # classes never hold more stations than the ring
+                assert all(1 <= s.cp <= n and s.cf >= 0 for s in g.states)
                 lines.append(f"{name} n={n} x={x} states={len(g.states)} "
                              f"edges={sum(map(len, g.edges))} "
                              f"last={' '.join(g.path(len(g.states) - 1))}")
@@ -215,13 +216,6 @@ def _successors_changed(change):
                 for t in successors(s, inp, **flags)]
 
     return changed
-
-
-def test_exploration_refuses_a_step_that_loses_a_station(monkeypatch):
-    monkeypatch.setattr(checker, "abstract_successors",
-                        _successors_changed(lambda post: post._replace(cf=post.cf - 1)))
-    with pytest.raises(SoundnessError, match=r"^\w+ loses stations: AbstractState\("):
-        explore(4, 2)
 
 
 def test_exploration_refuses_a_step_past_a_class_budget(monkeypatch):
@@ -369,6 +363,16 @@ def test_order_and_witness_of_the_exhaustive_three_fault_sweep():
         cross_check([4], k=3, max_runs=7419)
 
 
+def test_the_exhaustive_four_fault_sweep_converges():
+    # The k=4 walk at n=4 runs all 56,092 chains and judges 16,272 of them
+    # by a sibling's shared tail.  NC holds on every chain; CA is left
+    # unpinned, as it reports the k >= 3 counter-tree defect (ROADMAP item 1).
+    [result] = cross_check([4], k=4)
+    assert (result.runs, result.shared_tails) == (56092, 16272)
+    nc = result.verdicts[0]
+    assert nc.prop == "NC" and nc.holds, nc.report_line()
+
+
 def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypatch):
     # Skew the abstraction at slot 2 of the fault-free prefix: chains that
     # fault at slot 0 or 1 never run that prefix slot, so the witness is the
@@ -377,7 +381,7 @@ def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypa
 
     def skewed(ring):
         s = real(ring)
-        return s._replace(cp=s.cp + 1) if ring.slot == 2 and not s.fault_seen else s
+        return s._replace(df=s.df + 1) if ring.slot == 2 and not s.fault_seen else s
 
     monkeypatch.setattr(checker, "abstraction_map", skewed)
     [result] = cross_check([4])
@@ -535,8 +539,9 @@ def test_each_single_fault_sweep_asks_the_automaton_once_per_distinct_step(monke
     # SIM looks each slot's step up in the sweep's move table and asks
     # abstract_successors only for a (state, inputs) it has not met, while
     # the ring is still mapped afresh at every slot (one root map per
-    # sweep, one per slot).  Every mapped post-fault state spends each slot
-    # of its round on a frame or a silence.
+    # sweep, one per slot).  Every mapped post-fault state's frames and
+    # silences this round add up to the slots the ring has run since the
+    # round started.
     successors, mapped = checker.abstract_successors, checker.abstraction_map
     calls = {"successors": 0, "map": 0}
 
@@ -547,7 +552,9 @@ def test_each_single_fault_sweep_asks_the_automaton_once_per_distinct_step(monke
     def checked_map(ring):
         calls["map"] += 1
         s = mapped(ring)
-        assert not s.fault_seen or s.d0 + s.d1 + s.df == s.cp, s
+        if s.fault_seen:  # the derived slot position, against the ring's clock
+            fault_slot = ring.scenario.faults[0].slot
+            assert s.cp == (ring.slot - 1 - fault_slot) % ring.n + 1, (ring.slot, s)
         return s
 
     monkeypatch.setattr(checker, "abstract_successors", counted_successors)

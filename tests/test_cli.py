@@ -142,6 +142,13 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
          "line 3", "accept list '1,1' names 1 twice"),
         ("n = 4\nrounds = 2\nfault slot=0 accept=3,01\nfault slot=1 accept=2,3,2\n# end\n",
          "line 4", "accept list '2,3,2' names 2 twice"),
+        # A directive's value that is no integer, worded like a setting's.
+        ("n = 4\nrounds = 2\nfault slot=0x1 accept=\n# end\n",
+         "line 3", "fault slot= needs an integer, got '0x1'"),
+        ("n = 4\nrounds = 2\nfault slot=0 accept=1,a\n# end\n",
+         "line 3", "fault accept= needs an integer, got '1,a'"),
+        ("n = 4\nrounds = 4\n\nintegrate station=1 slot=4.5\n# end\n",
+         "line 4", "integrate slot= needs an integer, got '4.5'"),
         ("n = 4\nrounds = 3\nfault slot=4 accept=1\n\nfault slot=0 accept=1\n"
          "fault slot=4 accept=2\n# end\n",
          "line 6", "strictly increasing"),
