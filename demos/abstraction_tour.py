@@ -19,9 +19,10 @@ the six-station counterexample concretely.
 from __future__ import annotations
 
 from ttpmem.abstraction import (
-    abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
+    fold_slot,
+    start_tally,
 )
 from ttpmem.checker import check_properties
 from ttpmem.ring import FaultSpec, Ring, Scenario, convergence, partition_classes
@@ -37,18 +38,17 @@ def part1_mapping() -> None:
     print("=" * 70)
     scenario = Scenario(n=4, rounds=3, faults=(FaultSpec(0, frozenset({2})),))
     ring = Ring(scenario, record=False)
-    pre = abstraction_map(ring)
+    pre, tally = abstraction_map(ring), start_tally(ring.n)
     print(f"  start          {fmt(pre)}")
     while ring.slot < scenario.total_slots:
-        slot = ring.slot
         ring.step()
-        post = abstraction_map(ring)
-        inp = abstract_inputs_for_slot(ring, slot)
+        ev = ring.events[-1]
+        tally, post, inp = fold_slot(tally, ev)  # the slot's event, folded in
         taken = [
             tr.name for tr in abstract_successors(pre, inp)
-            if tr.post == post and tr.emits == ring.events[slot].emitted
+            if tr.post == post and tr.emits == ev.emitted
         ]
-        print(f"  slot {slot:>2} {taken[0]:<28} {fmt(post)}")
+        print(f"  slot {ev.slot:>2} {taken[0]:<28} {fmt(post)}")
         pre = post
     print()
 
@@ -76,13 +76,14 @@ def part3_concrete_counterexample() -> None:
     print("  next two slots, so both implicit-acknowledgment checks convict")
     print("  the sender s0 even though s0's class wins the 3-vs-3 tie.")
     ring = Ring(scenario, record=False)
+    pre, tally = abstraction_map(ring), start_tally(ring.n)
     for slot in range(2 * scenario.n + 1):
-        pre = abstraction_map(ring)
         ring.step()
-        post = abstraction_map(ring)
+        tally, post, _inp = fold_slot(tally, ring.events[-1])
         if (pre.c1, pre.c0) != (post.c1, post.c0) or post.cp == post.n:
             print(f"  slot {slot:>2}: c1={post.c1} c0={post.c0} "
                   f"(d1={post.d1} d0={post.d0})")
+        pre = post
     print(f"  departures: {ring.departures}")
     print(f"  classes now: {partition_classes(ring)}  "
           f"single clique: {convergence(ring).single_clique}")

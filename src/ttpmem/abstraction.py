@@ -33,13 +33,20 @@ g-exit at the rollover.  The d-guards pin each class's per-round slot
 budget; dropping them (``strengthened=False``) and weakening the gate to >=
 (``weak_gate=True``) are deliberate mutations used to show the checked
 properties actually depend on these details.
+
+The concrete-to-abstract map reads a ring's slot events, never the rules
+above: ``fold_slot`` folds one event into a small tally of the run and
+gives the ring's abstract image after that slot and the slot's inputs, and
+``abstraction_map`` is that fold over a whole run, checked against the
+ring's stations.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
-from .ring import Ring
+from .protocol import SoundnessError
+from .ring import Ring, SlotEvent
 
 
 class AbstractState(NamedTuple):
@@ -167,84 +174,107 @@ def abstract_successors(
 # -- concrete-to-abstract map -------------------------------------------------
 
 
-def _fault_slot(ring: Ring) -> Optional[int]:
-    """Slot of the scenario's first fault once the ring has run it."""
-    faults = ring.scenario.faults
-    return faults[0].slot if faults and faults[0].slot < ring.slot else None
+class RingTally(NamedTuple):
+    """What the map carries from one slot to the next, read off slot events
+    alone: the live stations of each class (the faulty sender and its
+    accepters are the vouchers; before the fault every station counts as a
+    rejecter), the fault, this round's frames and silences, and the slot in
+    the fault round at which the faulty sender left on its successors'
+    verdict, if it did."""
+
+    n: int
+    c0: int     # live rejecters
+    c1: int = 0  # live vouchers
+    fault_slot: Optional[int] = None
+    vouchers: frozenset = frozenset()  # ids, fixed at the fault
+    d0: int = 0  # rejecter frames this round
+    d1: int = 0  # voucher frames this round
+    df: int = 0  # silent slots this round
+    exit_slot: Optional[int] = None
 
 
-def _sender_exit(ring: Ring, fault_slot: int) -> Optional[int]:
-    """Slot in the fault round at which the faulty sender left on its
-    successors' verdict, if it did."""
-    exit_kind = (fault_slot % ring.n, "second_check")
-    for t in range(fault_slot + 1, min(fault_slot + ring.n, ring.slot)):
-        departed = ring.events[t].departed
-        if departed and exit_kind in departed:
-            return t
-    return None
+def start_tally(n: int) -> RingTally:
+    """The tally of a ring that has run no slot."""
+    return RingTally(n, n)
 
 
-def abstraction_map(ring: Ring) -> AbstractState:
-    """Counter view of the ring's current state (before slot ``ring.slot``).
+def fold_slot(
+    tally: RingTally, ev: SlotEvent,
+) -> Tuple[RingTally, AbstractState, AbstractInputs]:
+    """The tally after the slot ``ev`` records, the counter view of the ring
+    after that slot, and the inputs the abstract automaton consumes for it.
 
     Defined for runs with at most one fault and no integrating stations.
     The faulty sender is counted as a voucher until its own next slot even
-    if both successor checks already convicted it — the silent departure is
+    if both successor checks already convicted it: the silent departure is
     only booked at the slot where its sending would have been due, which is
-    exactly when the abstract g-branch fires.
+    exactly when the abstract g-branch fires."""
+    slot, owner, owner_loc, emitted, _gate, departed, accepted = ev
+    if not owner_loc.is_active and owner_loc.is_receiving:
+        raise ValueError("abstraction is undefined while stations integrate")
+    n, c0, c1, fault_slot, vouchers, d0, d1, df, exit_slot = tally
+    inp = NO_INPUT
+    if accepted is not None:
+        if fault_slot is not None:
+            raise ValueError("abstraction is defined for at most one fault")
+        fault_slot, vouchers = slot, frozenset(accepted).union((owner,))
+        c0, c1 = c0 - len(vouchers), len(vouchers)
+        inp = AbstractInputs(x=c1)
+    for sid, kind in departed:
+        if sid not in vouchers:
+            c0 -= 1
+            continue
+        c1 -= 1
+        if sid == fault_slot % n and kind == "second_check" and slot < fault_slot + n:
+            exit_slot = slot
+    if fault_slot is None:
+        return tally._replace(c0=c0), abstract_init(n), NO_INPUT
 
-    The map stays a pure function of the ring, recomputed at every slot in
-    one pass over the stations and index scans of the events: deriving the
-    state afresh from the concrete ring, not carrying it along the run, is
-    what keeps the simulation check independent of the automaton it checks.
-    """
-    n, sigma, labels = ring.n, ring.slot, ring.labels
-    faults = ring.scenario.faults
-    if len(faults) > 1 and faults[1].slot < sigma:
-        raise ValueError("abstraction is defined for at most one fault")
-    c1 = c0 = 0
+    r, pos = divmod(slot - fault_slot, n)  # rounds completed, slots before this one
+    if not pos:  # this slot opens a round
+        d0 = d1 = df = 0
+    if not emitted:
+        df += 1
+    elif owner in vouchers:
+        d1 += 1
+    else:
+        d0 += 1
+    if exit_slot is not None and slot == fault_slot + n:
+        inp = G_INPUT
+    sigma = slot + 1
+    image = AbstractState(
+        n, c0, c1 + (exit_slot is not None and sigma <= fault_slot + n), min(r, 2),
+        d0, d1, df, True, exit_slot is not None and sigma > fault_slot + n)
+    return RingTally(n, c0, c1, fault_slot, vouchers, d0, d1, df, exit_slot), image, inp
+
+
+def check_populations(ring: Ring, tally: RingTally) -> None:
+    """Raise SoundnessError unless the tally that a fold has carried to
+    ``ring.slot`` counts the ring's active stations of each class, by the
+    first bit of their labels; a departure that no event recorded shows
+    here.  Integrating stations are refused, as everywhere in the map."""
+    counts = [0, 0]
     for st in ring.stations:
         if st.location.is_active:
-            # Every station got a label bit at the fault (none before it);
-            # the first says its class.
-            bit = labels[st.sid][:1]
-            c1 += bit == "1"
-            c0 += bit == "0"
+            counts[ring.labels[st.sid][:1] == "1"] += 1
         elif st.location.is_receiving:
             raise ValueError("abstraction is undefined while stations integrate")
-
-    fault_slot = _fault_slot(ring)
-    if fault_slot is None:
-        return abstract_init(n)
-
-    exit_slot = _sender_exit(ring, fault_slot)
-    if exit_slot is not None and sigma <= fault_slot + n:
-        c1 += 1
-
-    r = (sigma - 1 - fault_slot) // n  # rounds completed after the fault slot
-    events = ring.events
-    d0 = d1 = df = 0
-    for t in range(fault_slot + n * r, sigma):
-        ev = events[t]
-        if not ev.emitted:
-            df += 1
-        elif labels[ev.owner][0] == "1":
-            d1 += 1
-        else:
-            d0 += 1
-
-    return AbstractState(
-        n=n, c0=c0, c1=c1, r=min(r, 2), d0=d0, d1=d1, df=df,
-        fault_seen=True, g_exit=exit_slot is not None and sigma > fault_slot + n,
-    )
+    if counts != [tally.c0, tally.c1]:
+        faults = " ".join(map(str, ring.scenario.faults)) or "none"
+        raise SoundnessError(
+            f"before slot {ring.slot} (faults: {faults}) the map counts c0={tally.c0} "
+            f"c1={tally.c1}, but the ring has {counts[0]} rejecters and {counts[1]} "
+            "vouchers active")
 
 
-def abstract_inputs_for_slot(ring: Ring, slot: int) -> AbstractInputs:
-    """Inputs the abstract automaton consumes for the ring's given slot."""
-    fault_slot = _fault_slot(ring)
-    if fault_slot is None or slot < fault_slot:
-        return NO_INPUT
-    if slot == fault_slot:
-        return AbstractInputs(x=1 + len(ring.events[fault_slot].accepted))
-    g = slot == fault_slot + ring.n and _sender_exit(ring, fault_slot) is not None
-    return G_INPUT if g else NO_INPUT
+def abstraction_map(ring: Ring) -> AbstractState:
+    """Counter view of the ring's current state (before slot ``ring.slot``):
+    ``fold_slot`` over the run's events, then ``check_populations``.
+
+    The map reads the ring's history and stations, never the automaton, so
+    the simulation check stays independent of the automaton it checks."""
+    tally, image = start_tally(ring.n), abstract_init(ring.n)
+    for ev in ring.events:
+        tally, image, _inp = fold_slot(tally, ev)
+    check_populations(ring, tally)
+    return image

@@ -33,11 +33,15 @@ with every chain of the group.  A chain is its fault tuple: a scenario is
 built from it only to word a failed check's witness.  On the fault-free
 ring every receiver is decisive, so single-fault chains never share.
 
-The simulation check maps the ring afresh at every slot, so it stays
-independent of the automaton it checks, but it reads the automaton's moves
-from a table that lives for one sweep, keyed on the (state, inputs) pairs
-themselves: ``abstract_successors`` is a pure function of them, and a sweep
-meets few distinct ones (928 over the 17,384 slots of n=3..7).
+The simulation check folds each slot's event into a tally of the run
+(``abstraction.fold_slot``), which gives the ring's abstract image after
+the slot and the slot's inputs, and checks the tally against the ring's
+stations at each run's end.  The fold reads the ring's events, never the
+automaton, so the check stays independent of the automaton it checks; it
+reads the automaton's moves from a table that lives for one sweep, keyed on
+the (state, inputs) pairs themselves: ``abstract_successors`` is a pure
+function of them, and a sweep meets few distinct ones (928 over the 17,384
+slots of n=3..7).
 """
 
 from __future__ import annotations
@@ -51,10 +55,13 @@ from .abstraction import (
     NO_INPUT,
     AbstractInputs,
     AbstractState,
+    RingTally,
     abstract_init,
-    abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
+    check_populations,
+    fold_slot,
+    start_tally,
 )
 from .kfault import CounterTree, counting_gate_checks
 from .kfault import tree_gate_checks  # noqa: F401  (bench/spans.py patches it here)
@@ -332,26 +339,29 @@ class _Path:
     """One ring of the depth-first walk over fault chains, with what watches
     it slot by slot: the counter tree, fed each event as it happens and
     compared at each gate (CA); for a single fault the abstraction's state
-    before the next slot (SIM); and the first mismatch of each check met on
-    this path, as (witness line, detail).  A fork copies all of it but the
-    move table, which every path of a sweep shares, so a slot that several
-    chains share is run and judged once.
+    before the next slot and the tally that maps the ring onto it (SIM); and
+    the first mismatch of each check met on this path, as (witness line,
+    detail).  A fork copies all of it but the move table, which every path
+    of a sweep shares, and the tally, which is immutable, so a slot that
+    several chains share is run and judged once.
 
-    SIM maps the ring afresh at every slot and looks the step up in the move
-    table, which holds what ``abstract_successors`` gave for each (state,
-    inputs) the sweep has met.  That function is pure and a sweep has one
-    gate, so the table only saves asking it twice; the map is never carried
-    along, so SIM stays independent of the automaton it checks."""
+    SIM folds each slot's event into the tally (``fold_slot``) and looks the
+    step up in the move table, which holds what ``abstract_successors`` gave
+    for each (state, inputs) the sweep has met; that function is pure and a
+    sweep has one gate, so the table only saves asking it twice.  The tally
+    goes on past the path's first SIM failure, for the judge's check of it
+    against the ring's stations at the run's end."""
 
     ring: Ring
     tree: Optional[CounterTree] = None
     pre: Optional[AbstractState] = None
+    tally: Optional[RingTally] = None
     bad: Mismatches = field(default_factory=dict)
     moves: Moves = field(default_factory=dict)
 
     def fork(self, fault: FaultSpec) -> "_Path":
         return _Path(self.ring.fork(fault), self.tree and self.tree.fork(),
-                     self.pre, dict(self.bad), self.moves)
+                     self.pre, self.tally, dict(self.bad), self.moves)
 
     def advance(self) -> None:
         ring = self.ring
@@ -362,20 +372,22 @@ class _Path:
             if c is not None and not c.ok and "CA" not in self.bad:
                 self.bad["CA"] = (f"slot {c.slot} s{c.sid}",
                                   f"predicted {c.predicted}, ring held {c.actual}")
-        if self.pre is not None:
-            post = abstraction_map(ring)
-            inp = abstract_inputs_for_slot(ring, ev.slot)
-            at = (self.pre, inp)
-            moves = self.moves.get(at)
-            if moves is None:
-                moves = self.moves[at] = frozenset(
-                    (tr.post, tr.emits)
-                    for tr in abstract_successors(self.pre, inp, weak_gate=ring.weak_gate))
-            if (post, ev.emitted) not in moves:
-                self.bad["SIM"] = (f"slot {ev.slot}",
-                                   f"no abstract step {self.pre} -> {post} (inputs {inp})")
-                post = None  # the path's first SIM failure is all it reports
-            self.pre = post
+        if self.tally is None:
+            return
+        self.tally, post, inp = fold_slot(self.tally, ev)
+        if self.pre is None:
+            return  # SIM failed on this path: only the tally goes on, for the judge
+        at = (self.pre, inp)
+        moves = self.moves.get(at)
+        if moves is None:
+            moves = self.moves[at] = frozenset(
+                (tr.post, tr.emits)
+                for tr in abstract_successors(self.pre, inp, weak_gate=ring.weak_gate))
+        if (post, ev.emitted) not in moves:
+            self.bad["SIM"] = (f"slot {ev.slot}",
+                               f"no abstract step {self.pre} -> {post} (inputs {inp})")
+            post = None  # the path's first SIM failure is all it reports
+        self.pre = post
 
 
 Chain = Tuple[FaultSpec, ...]
@@ -467,18 +479,21 @@ def _sweep(n: int, k: int, max_runs: int, weak_gate: bool) -> SweepResult:
     chain is still counted, and a witness is built from its fault tuple
     when a check first fails on it.  On the fault-free ring every receiver
     is decisive, so a single fault's tail, which reads the whole history
-    (the counting oracle, the abstraction's inputs), is never shared."""
+    (the counting oracle, the abstraction's tally), is never shared."""
     runs = degenerate = round1_splits = judged_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
     ring = _root(n, k, weak_gate)
-    root = _Path(ring, CounterTree(n), abstraction_map(ring) if k == 1 else None)
+    root = _Path(ring, CounterTree(n))
+    if k == 1:
+        root.pre, root.tally = abstraction_map(ring), start_tally(n)
 
     def judge(path: _Path, fault: FaultSpec) -> Tuple[Convergence, Mismatches]:
         nonlocal judged_tails, round1_splits
         judged_tails += 1
         # Checks that have already failed need not watch this run's tail.
-        path = _Path(path.ring, None if "CA" in failed else path.tree,
-                     None if "SIM" in failed else path.pre, path.bad, path.moves).fork(fault)
+        sim = (None, None) if "SIM" in failed else (path.pre, path.tally)
+        path = _Path(path.ring, None if "CA" in failed else path.tree, *sim,
+                     path.bad, path.moves).fork(fault)
         ring = path.ring
         last = ring.slot  # forked at its last fault, which has not run yet
         end = ring.horizon if k == 1 else last + 2 * n
@@ -488,6 +503,8 @@ def _sweep(n: int, k: int, max_runs: int, weak_gate: bool) -> SweepResult:
                 round1_splits += 1
             if ring.slot == last + 2 * n:
                 judged = convergence(ring)
+        if path.tally is not None:  # a departure no event recorded fails the sweep
+            check_populations(ring, path.tally)
         if k == 1 and "CA" not in failed:
             c = next((c for c in counting_gate_checks(ring) if not c.ok), None)
             if c is not None:  # the closed form's mismatch goes ahead of the tree's

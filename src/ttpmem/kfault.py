@@ -239,7 +239,8 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
     """Single-fault counting prediction, written as its own closed form
     (independent of :class:`CounterTree`): during the fault round a station
     holds acc = |W| - d_other / fail = d_other; afterwards the pair is the
-    live headcount of its class versus the rest."""
+    live headcount of its class versus the rest, kept per class as
+    stations leave."""
     if len(ring.scenario.faults) != 1:
         raise ValueError("counting_gate_checks applies to single-fault runs")
     n = ring.n
@@ -249,6 +250,7 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
     last_emission = {i: i - n for i in range(n)}
     label: Dict[int, str] = {}
     d_by_class = {"1": 0, "0": 0}
+    alive = {"1": 0, "0": 0}  # live headcount per class, from the fault on
     for ev in ring.events:
         slot = ev.slot
         if ev.owner_loc.is_active:
@@ -263,8 +265,7 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
                 )
                 predicted = (working - other, other)
             else:
-                mine = label[ev.owner]
-                same = sum(1 for a in active if label[a] == mine)
+                same = alive[label[ev.owner]]
                 predicted = (same, len(active) - same)
             checks.append(GateCheck(slot=slot, sid=ev.owner,
                                     predicted=predicted, actual=ev.gate))
@@ -272,6 +273,8 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
         if ev.accepted is not None:
             vouched = set(ev.accepted) | {ev.owner}
             label = {i: ("1" if i in vouched else "0") for i in range(n)}
+            for a in active:
+                alive[label[a]] += 1
             d_by_class["1"] += 1
             last_emission[ev.owner] = slot
         elif ev.emitted:
@@ -279,5 +282,8 @@ def counting_gate_checks(ring: Ring) -> List[GateCheck]:
                 d_by_class[label[ev.owner]] += 1
             last_emission[ev.owner] = slot
         for sid, _kind in ev.departed:
-            active.discard(sid)
+            if sid in active:  # a failed rejoiner leaves again, uncounted
+                active.remove(sid)
+                if label:
+                    alive[label[sid]] -= 1
     return checks

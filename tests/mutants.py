@@ -34,6 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SELECTION = [
     "tests/test_kfault.py", "tests/test_protocol.py", "tests/test_ring.py",
     "tests/test_cli.py", "tests/test_checker.py", "tests/test_acceptance.py",
+    "tests/test_abstraction.py::test_the_fold_gives_the_per_slot_maps_image_and_inputs",
+    "tests/test_abstraction.py::test_a_departure_the_events_leave_out_fails_the_population_check",
     "-k", "not criterion_7",
 ]
 
@@ -77,13 +79,13 @@ MUTANTS = [
      "fault-round gate: each foreign frame counted once, not twice"),
     ("abstraction.py", "r_next = min(s.r + 1, 2)", "r_next = min(s.r + 1, 3)",
      "rollover rules: r kept up to 3, not 2"),
-    ("abstraction.py", "r=min(r, 2)", "r=r",
+    ("abstraction.py", "min(r, 2)", "r",
      "map: r left unbounded"),
     ("abstraction.py", "s.g_exit and s.cp in (1, 2)", "s.g_exit and s.cp == 1",
      "refined guard: only the first slot after a g-exit barred"),
-    ("abstraction.py", 'elif labels[ev.owner][0] == "1":', 'elif labels[ev.owner][0] == "0":',
+    ("abstraction.py", "elif owner in vouchers:", "elif owner not in vouchers:",
      "map: frames sent booked to the other class's d"),
-    ("abstraction.py", "sigma <= fault_slot + n:", "sigma < fault_slot + n:",
+    ("abstraction.py", "sigma <= fault_slot + n)", "sigma < fault_slot + n)",
      "map: a convicted sender unbooked one slot before its own"),
     ("checker.py", "at = (self.pre, inp)", "at = self.pre",
      "SIM's move table keyed without the inputs"),
@@ -100,9 +102,9 @@ MUTANTS = [
      "parser: a key given twice in a directive, the last value wins"),
     ("checker.py", "(tr.post, tr.emits)", "(tr.post, ev.emitted)",
      "SIM tests a step's post-state without whether it emits"),
-    ("abstraction.py", "return AbstractInputs(x=1 + len(ring.events[fault_slot].accepted))",
-     "return NO_INPUT", "map: the fault slot's inputs are the shared no-input"),
-    ("abstraction.py", "return G_INPUT if g else NO_INPUT", "return NO_INPUT",
+    ("abstraction.py", "inp = AbstractInputs(x=c1)", "inp = NO_INPUT",
+     "map: the fault slot's inputs are the shared no-input"),
+    ("abstraction.py", "inp = G_INPUT", "inp = NO_INPUT",
      "map: the faulty sender's silent exit never raises g"),
     ("checker.py", "n << (n - 1) > max_runs", "n << (n - 2) > max_runs",
      "budget: a single fault's chains counted at half"),
@@ -150,18 +152,31 @@ MUTANTS = [
      "departures: a convicted sender's frame counted missing, not a failed gate's"),
     ("kfault.py", "self.aux_f[self.label[owner]] += 1", "self.aux_f[self.label[owner]] += 0",
      "a gone station's aged-out frame never counted missing"),
-    ("checker.py", 'path = _Path(path.ring, None if "CA" in failed else path.tree,\n'
-     '                     None if "SIM" in failed else path.pre, path.bad, path.moves).fork(fault)',
+    ("checker.py", 'sim = (None, None) if "SIM" in failed else (path.pre, path.tally)\n'
+     '        path = _Path(path.ring, None if "CA" in failed else path.tree, *sim,\n'
+     "                     path.bad, path.moves).fork(fault)",
      "path = path.fork(fault)\n"
      '        if "CA" in failed:\n'
      "            path.tree = None\n"
      '        if "SIM" in failed:\n'
-     "            path.pre = None",
+     "            path.pre = path.tally = None",
      "the judge copies the tree of a failed CA check, then drops it"),
     ("abstraction.py", "return self.d0 + self.d1 + self.df", "return self.d0 + self.d1",
      "slot position: silent slots left out of the round"),
     ("abstraction.py", "return self.n - self.c0 - self.c1", "return self.n - self.c0",
      "failed stations: the vouchers counted as failed"),
+    ("checker.py", "            check_populations(ring, path.tally)\n", "            pass\n",
+     "the judge skips the run-end population check"),
+    ("checker.py", "if self.tally is None:", "if self.pre is None:",
+     "after SIM fails on a path its tally stops, yet is still checked"),
+    ("abstraction.py", "if sid not in vouchers:", "if sid in vouchers:",
+     "map: each departure booked to the other class"),
+    ("abstraction.py", "if counts != [tally.c0, tally.c1]:", "if counts[0] != tally.c0:",
+     "population check: the vouchers left uncounted"),
+    ("kfault.py", "            if sid in active:  # a failed rejoiner leaves again, uncounted\n"
+     "                active.remove(sid)\n", "            if True:\n"
+     "                active.discard(sid)\n",
+     "closed form: a failed rejoiner's second departure shrinks its class again"),
 ]
 
 

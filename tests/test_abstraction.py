@@ -2,25 +2,46 @@
 
 Expected abstract states for the mapped runs were worked out by hand from
 the counter definitions (class populations from the labels, d-counters from
-the slot outcomes of the current round) before running the map.
+the slot outcomes of the current round) before running the map.  The map
+folds each slot's event into a tally; the map it replaced, which rebuilt
+the state from the stations and the events at every slot, is kept here as
+the reference that the fold must reproduce slot by slot.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import product
-from typing import List, NamedTuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
+
+import pytest
 
 from ttpmem.abstraction import (
     AbstractInputs,
     AbstractState,
     AbstractTransition,
     abstract_init,
-    abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
+    check_populations,
+    fold_slot,
+    start_tally,
 )
 from ttpmem.checker import explore, kfault_scenarios
+from ttpmem.protocol import SoundnessError
 from ttpmem.ring import FaultSpec, IntegrationSpec, Ring, Scenario
+
+
+def folded(ring: Ring) -> Iterator[Tuple[AbstractState, AbstractInputs]]:
+    """Step the ring to its horizon, folding each slot's event into the
+    tally: yields the ring's abstract image after each slot and the slot's
+    inputs, then checks the tally against the ring's stations."""
+    tally = start_tally(ring.n)
+    while ring.slot < ring.horizon:
+        ring.step()
+        tally, image, inp = fold_slot(tally, ring.events[-1])
+        yield image, inp
+    check_populations(ring, tally)
 
 
 def names(transitions):
@@ -143,10 +164,11 @@ def test_map_defers_convicted_sender_until_its_slot():
 
 
 def test_inputs_raise_g_exactly_at_senders_vacated_slot():
-    ring = Ring(CONVICTED).run_until(5)
-    assert abstract_inputs_for_slot(ring, 0) == AbstractInputs(x=2)
-    assert abstract_inputs_for_slot(ring, 3) == AbstractInputs()
-    assert abstract_inputs_for_slot(ring, 4) == AbstractInputs(g=True)
+    inputs = [inp for _image, inp in folded(Ring(CONVICTED))]
+    assert inputs[0] == AbstractInputs(x=2)
+    assert inputs[3] == AbstractInputs()
+    assert inputs[4] == AbstractInputs(g=True)
+    assert inputs[1:4] + inputs[5:] == [AbstractInputs()] * (len(inputs) - 2)
 
 
 def simulate_whole_run(scenario: Scenario) -> list:
@@ -155,11 +177,7 @@ def simulate_whole_run(scenario: Scenario) -> list:
     ring = Ring(scenario)
     pre = abstraction_map(ring)
     taken = []
-    while ring.slot < scenario.total_slots:
-        slot = ring.slot
-        ring.step()
-        post = abstraction_map(ring)
-        inp = abstract_inputs_for_slot(ring, slot)
+    for slot, (post, inp) in enumerate(folded(ring)):
         ev = ring.events[slot]
         matches = [
             t for t in abstract_successors(pre, inp)
@@ -214,6 +232,101 @@ def test_map_is_undefined_beyond_its_scope():
         pass
 
 
+# -- the per-slot map, kept as the fold's reference ---------------------------
+
+
+def reference_fault_slot(ring: Ring) -> Optional[int]:
+    """Slot of the scenario's first fault once the ring has run it."""
+    faults = ring.scenario.faults
+    return faults[0].slot if faults and faults[0].slot < ring.slot else None
+
+
+def reference_sender_exit(ring: Ring, fault_slot: int) -> Optional[int]:
+    """Slot in the fault round at which the faulty sender left on its
+    successors' verdict, if it did."""
+    exit_kind = (fault_slot % ring.n, "second_check")
+    for t in range(fault_slot + 1, min(fault_slot + ring.n, ring.slot)):
+        departed = ring.events[t].departed
+        if departed and exit_kind in departed:
+            return t
+    return None
+
+
+def reference_map(ring: Ring) -> AbstractState:
+    """Counter view of the ring before slot ``ring.slot``, rebuilt from one
+    pass over the stations and index scans of the events."""
+    n, sigma, labels = ring.n, ring.slot, ring.labels
+    c1 = c0 = 0
+    for st in ring.stations:
+        if st.location.is_active:
+            bit = labels[st.sid][:1]
+            c1 += bit == "1"
+            c0 += bit == "0"
+
+    fault_slot = reference_fault_slot(ring)
+    if fault_slot is None:
+        return abstract_init(n)
+
+    exit_slot = reference_sender_exit(ring, fault_slot)
+    if exit_slot is not None and sigma <= fault_slot + n:
+        c1 += 1
+
+    r = (sigma - 1 - fault_slot) // n  # rounds completed after the fault slot
+    d0 = d1 = df = 0
+    for t in range(fault_slot + n * r, sigma):
+        ev = ring.events[t]
+        if not ev.emitted:
+            df += 1
+        elif labels[ev.owner][0] == "1":
+            d1 += 1
+        else:
+            d0 += 1
+
+    return AbstractState(
+        n=n, c0=c0, c1=c1, r=min(r, 2), d0=d0, d1=d1, df=df,
+        fault_seen=True, g_exit=exit_slot is not None and sigma > fault_slot + n,
+    )
+
+
+def reference_inputs(ring: Ring, slot: int) -> AbstractInputs:
+    """Inputs the abstract automaton consumes for the ring's given slot."""
+    fault_slot = reference_fault_slot(ring)
+    if fault_slot is None or slot < fault_slot:
+        return AbstractInputs()
+    if slot == fault_slot:
+        return AbstractInputs(x=1 + len(ring.events[fault_slot].accepted))
+    g = slot == fault_slot + ring.n and reference_sender_exit(ring, fault_slot) is not None
+    return AbstractInputs(g=g)
+
+
+@pytest.mark.parametrize("weak_gate", (False, True), ids=("strict", "weak"))
+def test_the_fold_gives_the_per_slot_maps_image_and_inputs(weak_gate):
+    # Every slot of every single-fault chain for n=3..7: 764 runs of 4n slots.
+    slots = 0
+    for n in range(3, 8):
+        for sc in kfault_scenarios(n, 1):
+            ring = Ring(sc, weak_gate=weak_gate, record=False)
+            for slot, (image, inp) in enumerate(folded(ring)):
+                assert (image, inp) == (reference_map(ring), reference_inputs(ring, slot)), \
+                    (sc, slot)
+                slots += 1
+    assert slots == 19408
+
+
+def test_a_departure_the_events_leave_out_fails_the_population_check():
+    # The convicted sender's exit at slot 2 dropped from its event: the fold
+    # keeps counting s0 as a live voucher, which the stations contradict.
+    ring = Ring(CONVICTED).run()
+    tally = start_tally(ring.n)
+    for ev in ring.events:
+        tally, _image, _inp = fold_slot(tally, ev._replace(departed=()) if ev.slot == 2 else ev)
+    assert ring.events[2].departed == ((0, "second_check"),)
+    with pytest.raises(SoundnessError, match=re.escape(
+            "before slot 12 (faults: fault@0->{s3}) the map counts c0=2 c1=1, but the ring "
+            "has 2 rejecters and 0 vouchers active")):
+        check_populations(ring, tally)
+
+
 def test_successor_and_mapped_states_keep_r_within_its_bound():
     # The rules and the map both bound r at 2 (= two or more rounds); a
     # state past it would make the explored graph grow with the horizon.
@@ -230,9 +343,7 @@ def test_successor_and_mapped_states_keep_r_within_its_bound():
         for sc in kfault_scenarios(n, 1):
             ring = Ring(sc, record=False)
             states.append(abstraction_map(ring))
-            while ring.slot < sc.total_slots:
-                ring.step()
-                states.append(abstraction_map(ring))
+            states += [image for image, _inp in folded(ring)]
     for s in states:
         assert 0 <= s.r <= 2, s
 

@@ -16,6 +16,7 @@ boundary-scoped properties survive.
 from __future__ import annotations
 
 import hashlib
+import re
 
 from dataclasses import astuple
 from itertools import islice
@@ -28,9 +29,10 @@ import ttpmem.ring as ring_module
 
 from ttpmem.abstraction import (
     abstract_init,
-    abstract_inputs_for_slot,
     abstract_successors,
     abstraction_map,
+    fold_slot,
+    start_tally,
 )
 from ttpmem.checker import (
     PropertyVerdict,
@@ -164,20 +166,18 @@ def test_the_p3_counterexample_is_concretely_realizable():
     # sender, so it leaves even though its class wins the round.
     sc = Scenario(n=6, rounds=4, faults=(FaultSpec(0, frozenset({3, 4})),))
     ring = Ring(sc)
-    pre = abstraction_map(ring)
+    pre, tally = abstraction_map(ring), start_tally(ring.n)
     taken = []
     trigger_seen = shrunk_after = False
     while ring.slot < sc.total_slots:
-        slot = ring.slot
         ring.step()
-        post = abstraction_map(ring)
-        inp = abstract_inputs_for_slot(ring, slot)
-        ev = ring.events[slot]
+        ev = ring.events[-1]
+        tally, post, inp = fold_slot(tally, ev)
         match = [
             t for t in abstract_successors(pre, inp)
             if t.post == post and t.emits == ev.emitted
         ]
-        assert match, f"slot {slot} not simulated"
+        assert match, f"slot {ev.slot} not simulated"
         taken.append(match[0].name)
         if pre.fault_seen and pre.d1 == 3 and pre.d0 < 3:
             trigger_seen = True
@@ -374,16 +374,17 @@ def test_the_exhaustive_four_fault_sweep_converges():
 
 
 def test_a_mismatch_on_a_shared_prefix_names_the_first_chain_through_it(monkeypatch):
-    # Skew the abstraction at slot 2 of the fault-free prefix: chains that
-    # fault at slot 0 or 1 never run that prefix slot, so the witness is the
-    # first chain that does, whose fault is at slot 2.
-    real = checker.abstraction_map
+    # Skew the abstraction at slot 2 of the fault-free prefix (the image the
+    # fold gives after slot 1): chains that fault at slot 0 or 1 never run
+    # that prefix slot, so the witness is the first chain that does, whose
+    # fault is at slot 2.
+    real = checker.fold_slot
 
-    def skewed(ring):
-        s = real(ring)
-        return s._replace(df=s.df + 1) if ring.slot == 2 and not s.fault_seen else s
+    def skewed(tally, ev):
+        tally, s, inp = real(tally, ev)
+        return tally, s._replace(df=s.df + 1) if ev.slot == 1 and not s.fault_seen else s, inp
 
-    monkeypatch.setattr(checker, "abstraction_map", skewed)
+    monkeypatch.setattr(checker, "fold_slot", skewed)
     [result] = cross_check([4])
     sim = next(v for v in result.verdicts if v.prop == "SIM")
     assert not sim.holds
@@ -538,36 +539,64 @@ def _ring_state(ring):
 def test_each_single_fault_sweep_asks_the_automaton_once_per_distinct_step(monkeypatch):
     # SIM looks each slot's step up in the sweep's move table and asks
     # abstract_successors only for a (state, inputs) it has not met, while
-    # the ring is still mapped afresh at every slot (one root map per
-    # sweep, one per slot).  Every mapped post-fault state's frames and
-    # silences this round add up to the slots the ring has run since the
-    # round started.
-    successors, mapped = checker.abstract_successors, checker.abstraction_map
+    # the ring is still mapped at every slot: one fold step per slot the
+    # sweep runs, and one population check at the end of each run.  Every
+    # folded post-fault image's frames and silences this round add up to
+    # the slots the ring has run since the round started.
+    successors, fold, populations = (checker.abstract_successors, checker.fold_slot,
+                                     checker.check_populations)
     calls = {"successors": 0, "map": 0}
 
     def counted_successors(*args, **kwargs):
         calls["successors"] += 1
         return successors(*args, **kwargs)
 
-    def checked_map(ring):
+    def checked_fold(tally, ev):
         calls["map"] += 1
-        s = mapped(ring)
+        tally, s, inp = fold(tally, ev)
         if s.fault_seen:  # the derived slot position, against the ring's clock
-            fault_slot = ring.scenario.faults[0].slot
-            assert s.cp == (ring.slot - 1 - fault_slot) % ring.n + 1, (ring.slot, s)
-        return s
+            assert s.cp == (ev.slot - tally.fault_slot) % tally.n + 1, (ev.slot, s)
+        return tally, s, inp
+
+    def counted_populations(ring, tally):
+        calls["map"] += 1
+        return populations(ring, tally)
 
     monkeypatch.setattr(checker, "abstract_successors", counted_successors)
-    monkeypatch.setattr(checker, "abstraction_map", checked_map)
-    for weak_gate, n, asked, slots in (
-        (False, 3, 36, 134), (False, 4, 78, 467), (False, 5, 146, 1444),
-        (False, 6, 272, 4133), (False, 7, 396, 11206),
-        (True, 4, 75, 467), (True, 5, 146, 1444),
+    monkeypatch.setattr(checker, "fold_slot", checked_fold)
+    monkeypatch.setattr(checker, "check_populations", counted_populations)
+    for weak_gate, n, asked, slots, runs in (
+        (False, 3, 36, 134, 12), (False, 4, 78, 467, 32), (False, 5, 146, 1444, 80),
+        (False, 6, 272, 4133, 192), (False, 7, 396, 11206, 448),
+        (True, 4, 75, 467, 32), (True, 5, 146, 1444, 80),
     ):
         calls.update(successors=0, map=0)
         [result] = cross_check([n], weak_gate=weak_gate)
-        assert (calls["successors"], calls["map"]) == (asked, slots + 1), (weak_gate, n)
+        assert (calls["successors"], calls["map"]) == (asked, slots + runs), (weak_gate, n)
         assert next(v for v in result.verdicts if v.prop == "SIM").holds
+
+
+def test_a_departure_missing_from_its_event_fails_the_sweep(monkeypatch):
+    # Each second-check departure dropped from its SlotEvent: the station
+    # still leaves, but the fold, which reads only events, keeps counting
+    # it.  On the first chain the faulty sender s0 leaves so, and SIM fails
+    # at its vacated slot; the tally still goes on to the run's end, where
+    # the stations contradict it.  That is a fault of the map, not of the
+    # automaton, so the sweep raises instead of reporting a SIM verdict.
+    step = Ring.step
+
+    def dropping(ring):
+        step(ring)
+        ev = ring.events[-1]
+        kept = tuple(d for d in ev.departed if d[1] != "second_check")
+        if kept != ev.departed:
+            ring.events[-1] = ev._replace(departed=kept)
+
+    monkeypatch.setattr(Ring, "step", dropping)
+    with pytest.raises(SoundnessError, match=re.escape(
+            "before slot 16 (faults: fault@0->{}) the map counts c0=3 c1=1, but the ring "
+            "has 3 rejecters and 0 vouchers active")):
+        cross_check([4])
 
 
 def broken_rule_sweeps() -> str:

@@ -85,6 +85,21 @@ def test_counting_oracle_agrees_with_tree_on_one_fault():
         assert all(c.ok for c in simple)
 
 
+def test_the_counting_oracle_books_each_station_out_of_its_class_once():
+    # The faulty sender s1 leaves at slot 3 and fails to rejoin at slot 16,
+    # s2 fails its gate at slot 7 and its rejoin at slot 22: a station that
+    # is already gone leaves no class again, so both settled vouchers still
+    # hold (2, 0) at every gate after slot 16.
+    sc = Scenario(n=5, rounds=8, faults=(FaultSpec(1, frozenset({0, 4})),),
+                  integrations=(IntegrationSpec(1, 5), IntegrationSpec(2, 9)))
+    ring = Ring(sc).run()
+    assert ring.departures == [(3, 1, "second_check"), (7, 2, "gate"), (8, 3, "gate"),
+                               (16, 1, "integ_gate"), (22, 2, "integ_gate")]
+    checks = counting_gate_checks(ring)
+    assert all(c.ok for c in checks)
+    assert [c.predicted for c in checks if c.slot > 16] == [(2, 0)] * 9
+
+
 def fault_event(slot: int, owner: int, accepted: tuple) -> SlotEvent:
     return SlotEvent(
         slot=slot, owner=owner, owner_loc=Location.ACTIVE_AGREE, emitted=True,
