@@ -127,6 +127,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         lines.append(f"classes one round after: {_fmt_classes(classes)}")
         judged = convergence(ring.run_until(last + 2 * sc.n))
         lines.append(f"classes two rounds after: {_fmt_classes(judged.classes)}")
+        # Run every rejoin directive, so a bad one is refused as by the other verbs.
+        ring.run_until(max((ev.slot + 1 for ev in sc.integrations), default=0))
     else:
         judged = convergence(ring.run())
         lines.append(f"classes at horizon: {_fmt_classes(judged.classes)}")

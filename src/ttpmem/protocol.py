@@ -12,17 +12,18 @@ station t mod N).  Every station keeps
 
 Acknowledgment is implicit: after sending, a station watches its first and
 second successors' frames to find out whether its own frame was received
-(``check_first_successor`` / ``check_second_successor``).  At every own slot
-the clique-avoidance gate ``acc > fail`` decides whether the station may
-keep sending; a station that loses the gate clears its vector and counters
-and falls silent.
+(its ``CheckPhase``, judged in ``receive_step``).  At every own slot the
+clique-avoidance gate ``acc > fail`` decides whether the station may keep
+sending; a station that loses the gate clears its vector and counters and
+falls silent.
 
 Functions here mutate a single :class:`StationState`; the slot/bus
-choreography lives in :mod:`ttpmem.ring`.  ``receive_step`` runs for every
-receiver of every frame, so it tests the bits inline (``|`` and ``&~`` on
-the sender's bit) instead of calling ``with_bit``/``crc_correct``, and takes
-the common idle receiver first; the two successor checks stay the named,
-readable rules it calls.
+choreography lives in :mod:`ttpmem.ring`.  ``receive_step`` is one rule:
+each check phase names the vector it expects from the frame, and all phases
+share one accept and one reject.  It runs for every receiver of every frame,
+so it tests the bits inline (``|`` and ``&~`` on the sender's bit) instead
+of calling ``with_bit``/``crc_correct``, and takes the common idle receiver
+first.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ class CheckPhase(Enum):
     IDLE = "idle"
     AWAIT_FIRST = "await_first"    # next frame judges my own transmission
     AWAIT_SECOND = "await_second"  # first successor rejected me; second decides
-
-
-class CheckOutcome(Enum):
-    MEMBERSHIP = "membership"       # successor acknowledged my frame
-    SECOND_WAIT = "second_wait"     # first successor did not see my frame
-    FIRST_FAULTED = "first_faulted"   # first successor itself judged faulty
-    SECOND_FAULTED = "second_faulted"  # second successor itself judged faulty
-    LEAVE = "leave"                 # both successors rejected me: I am send-faulty
 
 
 class Frame(NamedTuple):
@@ -176,46 +169,6 @@ def leave_active(st: StationState) -> None:
     st.listen_from = None
 
 
-def check_first_successor(st: StationState, frame: Frame, clean: bool) -> CheckOutcome:
-    """First frame after my own: does the sender acknowledge me?
-
-    Passing with my bit at 1 means my frame was received (membership point).
-    Passing with my bit at 0 means the sender did not see my frame; judge it
-    receive-faulty for now and let the second successor arbitrate.  If
-    neither variant matches, the sender itself is judged faulty and the next
-    frame becomes the first-successor candidate.
-    """
-    if clean:  # a corrupted frame matches no expectation (``crc_correct``)
-        base = st.member | 1 << frame.sender
-        mine = 1 << st.sid
-        if frame.vector == base | mine:
-            return CheckOutcome.MEMBERSHIP
-        if frame.vector == base & ~mine:
-            return CheckOutcome.SECOND_WAIT
-    return CheckOutcome.FIRST_FAULTED
-
-
-def check_second_successor(
-    st: StationState, frame: Frame, clean: bool, first: StationId
-) -> CheckOutcome:
-    """Second successor arbitrates between me and the first successor.
-
-    Sender siding with me (my bit 1, first successor's bit 0) confirms the
-    first successor was receive-faulty.  Sender siding with the first
-    successor (my bit 0, its bit 1) convicts me: my own transmission was
-    faulty and I must leave.  Anything else: this sender is judged faulty
-    and the wait continues.
-    """
-    if clean:
-        base = st.member | 1 << frame.sender
-        mine, theirs = 1 << st.sid, 1 << first
-        if frame.vector == (base | mine) & ~theirs:
-            return CheckOutcome.MEMBERSHIP
-        if frame.vector == (base & ~mine) | theirs:
-            return CheckOutcome.LEAVE
-    return CheckOutcome.SECOND_FAULTED
-
-
 class ReceiveEvent(Enum):
     ACCEPT = "accept"
     REJECT = "reject"
@@ -226,8 +179,6 @@ class ReceiveEvent(Enum):
 # reading a member off its enum class costs several times a global name.
 _IDLE, _AWAIT_FIRST, _AWAIT_SECOND = (
     CheckPhase.IDLE, CheckPhase.AWAIT_FIRST, CheckPhase.AWAIT_SECOND)
-_MEMBERSHIP, _SECOND_WAIT, _CONVICTED = (
-    CheckOutcome.MEMBERSHIP, CheckOutcome.SECOND_WAIT, CheckOutcome.LEAVE)
 _ACCEPT, _REJECT, _LEAVE = ReceiveEvent.ACCEPT, ReceiveEvent.REJECT, ReceiveEvent.LEAVE
 
 
@@ -235,49 +186,36 @@ def receive_step(st: StationState, frame: Frame, clean: bool) -> ReceiveEvent:
     """Process a frame from another station (receiver is active or
     integrating).  The returned event tells the ring's bookkeeping whether
     the frame counted as agreement, disagreement, or triggered departure.
+    A rejected successor is judged faulty; the next frame takes its place.
     """
     bit = 1 << frame.sender
     check = st.check
     if check is _IDLE:
-        # No acknowledgment pending: plain accept/reject.  The sender's bit
-        # is set before comparing, so a valid frame from a station we had
-        # written off (a re-entering one) is accepted and restores its bit.
-        if clean and frame.vector == st.member | bit:
-            st.member |= bit
-            st.acc += 1
-            return _ACCEPT
-        st.member &= ~bit
-        st.fail += 1
-        return _REJECT
-
-    if check is _AWAIT_FIRST:
-        outcome = check_first_successor(st, frame, clean)
-        if outcome is _MEMBERSHIP:
-            st.member |= bit
-            st.acc += 1
-            st.check = _IDLE
-            return _ACCEPT
-        st.member &= ~bit
-        st.fail += 1
-        if outcome is _SECOND_WAIT:
-            st.check = _AWAIT_SECOND
-            st.first_succ = frame.sender
-        # Otherwise the first-successor candidate was judged faulty; the
-        # next frame takes its place.
-        return _REJECT
-
-    if st.first_succ is None:
-        raise SoundnessError(f"s{st.sid} awaits a second successor without a first")
-    outcome = check_second_successor(st, frame, clean, st.first_succ)
-    if outcome is _MEMBERSHIP:
+        # No check pending; the sender's bit is set, so a re-entering sender passes.
+        expect = st.member | bit
+    else:
+        base = st.member | bit
+        mine = 1 << st.sid
+        if check is _AWAIT_FIRST:
+            # First-successor check: my bit 1 acknowledges me; 0 defers to the second.
+            expect = base | mine
+            if clean and frame.vector == base & ~mine:
+                st.check, st.first_succ = _AWAIT_SECOND, frame.sender
+        else:
+            # Second-successor check: siding with me accepts, with the first convicts me.
+            if st.first_succ is None:
+                raise SoundnessError(f"s{st.sid} awaits a second successor without a first")
+            theirs = 1 << st.first_succ
+            if clean and frame.vector == (base & ~mine) | theirs:
+                leave_active(st)
+                return _LEAVE
+            expect = (base | mine) & ~theirs
+    if clean and frame.vector == expect:
         st.member |= bit
         st.acc += 1
         st.check = _IDLE
         st.first_succ = None
         return _ACCEPT
-    if outcome is _CONVICTED:
-        leave_active(st)
-        return _LEAVE
     st.member &= ~bit
     st.fail += 1
     return _REJECT

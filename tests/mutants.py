@@ -65,8 +65,7 @@ MUTANTS = [
      "m5: a rejoiner adopts any active station's label"),
     ("protocol.py", "return st.acc > st.fail", "return st.acc >= st.fail",
      "the strict clique gate passes on a tie"),
-    ("protocol.py", "if clean and frame.vector == st.member | bit:",
-     "if clean and frame.vector == st.member:",
+    ("protocol.py", "expect = st.member | bit", "expect = st.member",
      "idle accept: a written-off sender's frame is rejected"),
     ("ring.py", "key = (sid, member, acc, fail, loc)", "key = (member, acc, fail, loc)",
      "renderers: a row's key leaves out its station"),
@@ -177,6 +176,17 @@ MUTANTS = [
      "                active.remove(sid)\n", "            if True:\n"
      "                active.discard(sid)\n",
      "closed form: a failed rejoiner's second departure shrinks its class again"),
+    ("protocol.py", "expect = (base | mine) & ~theirs", "expect = base | mine",
+     "second wait: a frame vouching for the first successor too is accepted"),
+    ("protocol.py", "frame.vector == (base & ~mine) | theirs:", "frame.vector == base & ~mine:",
+     "second wait: the conviction vector without the first successor's bit"),
+    ("protocol.py", "st.check = _IDLE\n", "st.check = _IDLE if check is _AWAIT_SECOND else check\n",
+     "first-successor acknowledgment leaves the check pending"),
+    ("protocol.py", "st.check, st.first_succ = _AWAIT_SECOND, frame.sender",
+     "st.check, st.first_succ = _AWAIT_SECOND, st.sid",
+     "second wait: the first successor recorded as the waiting station itself"),
+    ("cli.py", "ring.run_until(max((ev.slot + 1 for ev in sc.integrations), default=0))", "",
+     "partition: rejoin directives after the judged window never run"),
 ]
 
 

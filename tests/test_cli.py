@@ -108,7 +108,7 @@ def test_an_unwritable_out_exits_two(tmp_path, capsys):
 def test_parse_errors_carry_the_line_number(tmp_path, capsys):
     # Each refused directive sits on a line of its own, away from the last
     # line; faults out of slot order check that the line follows a fault
-    # through the sort.  The last three are refused only by running the
+    # through the sort.  The last four are refused only by running the
     # ring, by every verb that runs it.
     cases = [
         ("n = 4\nrubbish here\nrounds = 2\n", "line 2", "cannot parse"),
@@ -164,6 +164,10 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
         ("n = 4\nrounds = 4\nintegrate station=2 slot=9\nintegrate station=1 slot=3\n"
          "# end\n",
          "line 4", "station is in, not failed"),
+        # Past the slots that partition judges (the fault's two rounds).
+        ("n = 4\nrounds = 8\nfault slot=0 accept=\nintegrate station=0 slot=12\n"
+         "integrate station=0 slot=13\n",
+         "line 5", "integrate station=s0 slot=13: station is listen, not failed"),
     ]
     for text, line, message in cases:
         bad = tmp_path / "bad.scn"

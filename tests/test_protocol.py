@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from ttpmem.protocol import (
-    CheckOutcome,
     CheckPhase,
     Frame,
     Location,
@@ -13,8 +12,6 @@ from ttpmem.protocol import (
     SoundnessError,
     StationState,
     begin_emission,
-    check_first_successor,
-    check_second_successor,
     clique_gate,
     crc_correct,
     full_vector,
@@ -93,57 +90,47 @@ def test_begin_emission_resets_window_and_sets_own_bit():
     assert begin_emission(st2).vector == vec("1011")
 
 
+def post(st: StationState):
+    """The state a receive step may change, the vector as a bit string."""
+    return st.check, st.first_succ, st.acc, st.fail, vector_str(st.member, st.n), st.location
+
+
 def test_first_successor_acknowledges():
     # I sent with vector 1111; the next frame agrees and includes me.
     me = station(3, 4, "1111", 1, 0, check=CheckPhase.AWAIT_FIRST)
-    out = check_first_successor(me, Frame(0, vec("1111")), clean=True)
-    assert out is CheckOutcome.MEMBERSHIP
+    assert receive_step(me, Frame(0, vec("1111")), clean=True) is ReceiveEvent.ACCEPT
+    assert post(me) == (CheckPhase.IDLE, None, 2, 0, "1111", Location.ACTIVE_IN)
 
 
 def test_first_successor_did_not_see_me():
     # The successor's vector matches mine except my own bit is down: it
     # missed my frame, so the second successor will arbitrate.
     me = station(0, 4, "1111", 1, 0, check=CheckPhase.AWAIT_FIRST)
-    out = check_first_successor(me, Frame(1, vec("0111")), clean=True)
-    assert out is CheckOutcome.SECOND_WAIT
-    ev = receive_step(me, Frame(1, vec("0111")), clean=True)
-    assert ev is ReceiveEvent.REJECT
-    assert me.check is CheckPhase.AWAIT_SECOND and me.first_succ == 1
-    assert (me.acc, me.fail) == (1, 1)
-    assert vector_str(me.member, 4) == "1011"
+    assert receive_step(me, Frame(1, vec("0111")), clean=True) is ReceiveEvent.REJECT
+    assert post(me) == (CheckPhase.AWAIT_SECOND, 1, 1, 1, "1011", Location.ACTIVE_IN)
 
 
 def test_first_successor_itself_faulty():
     me = station(3, 4, "0111", 1, 1, check=CheckPhase.AWAIT_FIRST)
     # Frame disagrees with both readings of my own bit: the sender is the
     # faulty one; my wait continues with the next frame.
-    out = check_first_successor(me, Frame(2, vec("1011")), clean=True)
-    assert out is CheckOutcome.FIRST_FAULTED
-    receive_step(me, Frame(2, vec("1011")), clean=True)
-    assert me.check is CheckPhase.AWAIT_FIRST
-    assert (me.acc, me.fail) == (1, 2)
+    assert receive_step(me, Frame(2, vec("1011")), clean=True) is ReceiveEvent.REJECT
+    assert post(me) == (CheckPhase.AWAIT_FIRST, None, 1, 2, "0101", Location.ACTIVE_IN)
 
 
 def test_second_successor_sides_with_me():
     me = station(0, 4, "1011", 1, 1, check=CheckPhase.AWAIT_SECOND, first=1)
-    out = check_second_successor(me, Frame(2, vec("1011")), clean=True, first=1)
-    assert out is CheckOutcome.MEMBERSHIP
-    ev = receive_step(me, Frame(2, vec("1011")), clean=True)
-    assert ev is ReceiveEvent.ACCEPT
-    assert (me.acc, me.fail) == (2, 1)
-    assert me.check is CheckPhase.IDLE
+    # The sender vouches for me, not for s1: s1 was the receive-faulty one.
+    assert receive_step(me, Frame(2, vec("1011")), clean=True) is ReceiveEvent.ACCEPT
+    assert post(me) == (CheckPhase.IDLE, None, 2, 1, "1011", Location.ACTIVE_IN)
 
 
 def test_second_successor_convicts_me():
     # Both successors saw my frame as faulty: I must leave, zeroed.
     me = station(0, 4, "1011", 1, 1, check=CheckPhase.AWAIT_SECOND, first=1)
     frame = Frame(2, vec("0111"))  # sender vouches for s1, not for me
-    out = check_second_successor(me, frame, clean=True, first=1)
-    assert out is CheckOutcome.LEAVE
-    ev = receive_step(me, frame, clean=True)
-    assert ev is ReceiveEvent.LEAVE
-    assert me.location is Location.FAILED
-    assert (me.member, me.acc, me.fail) == (0, 0, 0)
+    assert receive_step(me, frame, clean=True) is ReceiveEvent.LEAVE
+    assert post(me) == (CheckPhase.IDLE, None, 0, 0, "0000", Location.FAILED)
 
 
 def test_a_second_successor_check_needs_a_first_successor():
@@ -238,23 +225,28 @@ def reference_receive(st: StationState, frame: Frame, clean: bool) -> ReceiveEve
 
 
 def test_receive_step_matches_the_reference_rules_exhaustively():
+    # Active receivers in every phase; integrating ones (listening since
+    # slot 3) are handed frames too, and only ever idle.
     n = 4
-    phases = [(CheckPhase.IDLE, None), (CheckPhase.AWAIT_FIRST, None)]
-    phases += [(CheckPhase.AWAIT_SECOND, first) for first in range(n)]
+    active = Location.ACTIVE_IN
+    phases = [(active, CheckPhase.IDLE, None), (active, CheckPhase.AWAIT_FIRST, None)]
+    phases += [(active, CheckPhase.AWAIT_SECOND, first) for first in range(n)]
+    phases += [(loc, CheckPhase.IDLE, None)
+               for loc in (Location.INTEG_LISTEN, Location.INTEG_COUNTING)]
     cases = 0
     for sid in range(n):
-        for check, first in phases:
+        for loc, check, first in phases:
             for member in range(1 << n):
                 for vector in range(1 << n):
                     for sender in range(n):
                         for clean in (False, True):
                             got, want = (
-                                StationState(sid, n, member, 2, 1, Location.ACTIVE_IN,
-                                             check, first)
+                                StationState(sid, n, member, 2, 1, loc, check, first,
+                                             None if loc is active else 3)
                                 for _ in range(2)
                             )
                             frame = Frame(sender, vector)
-                            case = (sid, check, first, member, vector, sender, clean)
+                            case = (sid, loc, check, first, member, vector, sender, clean)
                             assert receive_step(got, frame, clean) is \
                                 reference_receive(want, frame, clean), case
                             assert got == want, case
