@@ -16,8 +16,8 @@ every consumer (oracles, abstraction map, renderers) reads it there; with
 ``record=True``, ``Ring.records`` adds each slot's post-slot station
 snapshot, which only the trace and table renderers print.  An event holds
 its owner's :class:`Location` member, a snapshot each location's text.
-Most of a run's station rows repeat an earlier slot's, so each renderer
-formats a distinct row once per call and reuses its text.
+A run's rows take few distinct values per column, so both renderers format
+each column value once per call and build a row by joining its five texts.
 
 Scenario file format: one directive per line, each key given once, '#'
 comments allowed.  The parsed :class:`Scenario` carries the line of each
@@ -36,7 +36,7 @@ Trace format (one line per slot, fixed field order)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .protocol import (
     Frame,
@@ -72,10 +72,14 @@ class ResourceCap(RuntimeError):
     """A run or a sweep would pass a fixed budget before finishing."""
 
 
-# Station-slots (n stations in each of the n * rounds slots) one scenario
-# may run: at the budget ``simulate`` takes 4.4 s and 298 MB peak RSS on a
-# 2-vCPU host, and both grow linearly with the horizon.
-HORIZON_BUDGET = 1_000_000
+# Vector bits (n stations, each holding an n-bit vector, in each of the
+# n * rounds slots) one scenario may run: every row ``simulate`` prints
+# carries one vector, so its text and memory grow with n x station-slots,
+# not with the station-slots alone.  n = 3 sets the figure: no ring runs
+# more than 1,000,000 station-slots, and a ring of n stations 3/n of that.
+# At the budget ``simulate --tables`` takes 1.8-2.4 s and 345 MB peak RSS
+# for n = 3 (1.3 s and 230 MB for n = 4) on a 2-vCPU host.
+HORIZON_BUDGET = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,9 @@ class Scenario:
         if self.rounds < 1:
             raise self.refuse(f"need at least 1 round, got rounds={self.rounds}",
                               ("rounds", 0))
-        if self.n * self.total_slots > HORIZON_BUDGET:
+        if self.n * self.n * self.total_slots > HORIZON_BUDGET:
             raise self.refuse(f"rounds = {self.rounds} gives {self.n} x {self.n} x "
-                              f"{self.rounds} station-slots, over the budget of "
+                              f"{self.n} x {self.rounds} vector bits, over the budget of "
                               f"{HORIZON_BUDGET}", ("rounds", 0), ResourceCap)
         for i in range(len(self.faults)):
             self.check_fault(i)
@@ -587,29 +591,36 @@ def convergence(ring: Ring) -> Convergence:
 
 
 def _station_rows(n: int, snapshots: Iterable[StationsSnapshot],
-                  row: Callable[[int, str, int, int, str], str]) -> Iterator[List[str]]:
-    """Each snapshot's stations as ``row(sid, vector, acc, fail, loc)``,
-    formatting each distinct row once and each vector once per member.
-    Both caches live for this call only: a vector's text depends on ``n``."""
-    rows: Dict[Tuple[int, int, int, int, str], str] = {}
-    vectors: Dict[int, str] = {}
+                  formats: Tuple[str, str, str, str, str]) -> Iterator[List[str]]:
+    """Each snapshot's stations as rows of five columns (station, vector,
+    acc, fail, location), each column's text given by its one-field format
+    in ``formats``: a row is the five texts in turn.  Each distinct value of
+    a column is formatted once per call.  The texts live for this call only:
+    a vector's text depends on ``n``."""
+    sid_format, vector_format, acc_format, fail_format, loc_format = formats
+    prefixes = [sid_format.format(sid) for sid in range(n)]
+    vectors, accs, fails = {}, {}, {}  # member, acc or fail -> its text
+    locs = {loc.value: loc_format.format(loc.value) for loc in Location}
+    # ``get`` and a test for None: a dict subclass with ``__missing__``, or
+    # one ``or`` per column, took 8-24% longer per render.
     for stations in snapshots:
         out = []
-        for sid, (member, acc, fail, loc) in enumerate(stations):
-            key = (sid, member, acc, fail, loc)
-            text = rows.get(key)
-            if text is None:
-                vector = vectors.get(member)
-                if vector is None:
-                    vector = vectors[member] = vector_str(member, n)
-                text = rows[key] = row(sid, vector, acc, fail, loc)
-            out.append(text)
+        for prefix, (member, acc, fail, loc) in zip(prefixes, stations):
+            vector = vectors.get(member)
+            if vector is None:
+                vector = vectors[member] = vector_format.format(vector_str(member, n))
+            acc_text = accs.get(acc)
+            if acc_text is None:
+                acc_text = accs[acc] = acc_format.format(acc)
+            fail_text = fails.get(fail)
+            if fail_text is None:
+                fail_text = fails[fail] = fail_format.format(fail)
+            out.append(f"{prefix}{vector}{acc_text}{fail_text}{locs[loc]}")
         yield out
 
 
 def trace_lines(ring: Ring) -> List[str]:
-    rows = _station_rows(ring.n, ring.records, lambda sid, vector, acc, fail, loc:
-                         f"s{sid}[m={vector} a={acc} f={fail} loc={loc}]")
+    rows = _station_rows(ring.n, ring.records, ("s{}[m=", "{} a=", "{} f=", "{} loc=", "{}]"))
     return [f"slot={ev.slot} owner=s{ev.owner} sent={int(ev.emitted)} " + " ".join(slot_rows)
             for ev, slot_rows in zip(ring.events, rows)]
 
@@ -626,7 +637,7 @@ def render_run_tables(ring: Ring) -> str:
         + ("sent" if ev.emitted else _SILENT_NOTES.get(ev.owner_loc, "silent (gate failed)"))
         for ev in ring.events]
     initial = _snapshot([initial_station(i, ring.n) for i in range(ring.n)])
-    rows = _station_rows(ring.n, [initial, *ring.records], lambda sid, vector, acc, fail, loc:
-                         f"  s{sid:<6}  {vector:<6}  {acc:<3}  {fail:<4}  {loc}")
+    rows = _station_rows(ring.n, [initial, *ring.records],
+                         ("  s{:<6}  ", "{:<6}  ", "{:<3}  ", "{:<4}  ", "{}"))
     return "\n\n".join("\n".join([title, "  station  vector  acc  fail  location", *table])
                        for title, table in zip(titles, rows)) + "\n"

@@ -67,13 +67,14 @@ MUTANTS = [
      "the strict clique gate passes on a tie"),
     ("protocol.py", "expect = st.member | bit", "expect = st.member",
      "idle accept: a written-off sender's frame is rejected"),
-    ("ring.py", "key = (sid, member, acc, fail, loc)", "key = (member, acc, fail, loc)",
-     "renderers: a row's key leaves out its station"),
-    ("ring.py", "key = (sid, member, acc, fail, loc)", "key = (sid, member, acc, fail)",
-     "renderers: a row's key leaves out its location"),
-    ("ring.py", "rows: Dict[Tuple[int, int, int, int, str], str] = {}",
-     'rows: Dict[Tuple[int, int, int, int, str], str] = globals().setdefault("_ROWS", {})',
-     "renderers: the row cache outlives its call"),
+    ("ring.py", "vectors, accs, fails = {}, {}, {}",
+     'vectors, accs, fails = globals().setdefault("_VECTORS", {}), {}, {}',
+     "renderers: the vector texts outlive their call"),
+    ("ring.py", "acc_text = accs.get(acc)", "acc_text = fails.get(acc)",
+     "renderers: an acc text read from the fail column's texts"),
+    ("ring.py", 'out.append(f"{prefix}{vector}{acc_text}{fail_text}{locs[loc]}")',
+     'out.append(f"{prefix}{vector}{acc_text}{fail_text}")',
+     "renderers: the location column dropped"),
     ("abstraction.py", 's.c0 + s.c1, 2 * base["d" + o]', 's.c0 + s.c1, base["d" + o]',
      "fault-round gate: each foreign frame counted once, not twice"),
     ("abstraction.py", "r_next = min(s.r + 1, 2)", "r_next = min(s.r + 1, 3)",
@@ -187,6 +188,9 @@ MUTANTS = [
      "second wait: the first successor recorded as the waiting station itself"),
     ("cli.py", "ring.run_until(max((ev.slot + 1 for ev in sc.integrations), default=0))", "",
      "partition: rejoin directives after the judged window never run"),
+    ("ring.py", "if self.n * self.n * self.total_slots > HORIZON_BUDGET:",
+     "if self.n * self.total_slots > HORIZON_BUDGET:",
+     "budget: the horizon counted in station-slots, not vector bits"),
 ]
 
 

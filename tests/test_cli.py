@@ -201,17 +201,26 @@ def test_an_unreadable_scenario_exits_two_naming_the_file(tmp_path, capsys):
 
 
 def test_a_horizon_over_the_budget_exits_three_before_any_slot_runs(tmp_path, capsys):
-    # 1.6e9 station-slots: hours of running, were it not refused up front.
-    scn = tmp_path / "long.scn"
-    scn.write_text("n = 4\nrounds = 100000000\nfault slot=0 accept=2\n")
-    for verb in ("simulate", "partition", "kfault-oracle"):
-        code, out, err = run(capsys, verb, "--scenario", str(scn))
-        assert code == 3 and out == "", verb
-        assert err == ("resource cap: line 2: rounds = 100000000 gives 4 x 4 x "
-                       "100000000 station-slots, over the budget of 1000000\n")
-    Scenario(4, HORIZON_BUDGET // 16).validate()  # the budget itself is allowed
+    # The boundary first: were the budget looser, the runs below could go on
+    # for hours or take gigabytes.
+    Scenario(4, HORIZON_BUDGET // 64).validate()  # the budget itself is allowed
     with pytest.raises(ResourceCap):
-        Scenario(4, HORIZON_BUDGET // 16 + 1).validate()
+        Scenario(4, HORIZON_BUDGET // 64 + 1).validate()
+    # n = 3 may run 1e6 station-slots, and no ring more.
+    Scenario(3, 1_000_000 // 9).validate()
+    with pytest.raises(ResourceCap):
+        Scenario(3, 1_000_000 // 9 + 1).validate()
+    # 1.6e9 station-slots: hours of running, were it not refused up front.
+    # One round of 1000 stations is 1e6 station-slots, but every table row
+    # carries a 1000-bit vector: about 1 GB of text.
+    for n, rounds, faults in [(4, 100000000, "fault slot=0 accept=2\n"), (1000, 1, "")]:
+        scn = tmp_path / f"n{n}.scn"
+        scn.write_text(f"n = {n}\nrounds = {rounds}\n{faults}")
+        for verb in ("simulate", "partition", "kfault-oracle"):
+            code, out, err = run(capsys, verb, "--scenario", str(scn))
+            assert code == 3 and out == "", (n, verb)
+            assert err == (f"resource cap: line 2: rounds = {rounds} gives {n} x {n} x {n} x "
+                           f"{rounds} vector bits, over the budget of 3000000\n")
 
 
 def test_partition_reports_rounds_and_converges(capsys):

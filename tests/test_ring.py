@@ -196,8 +196,8 @@ def test_trace_is_deterministic_and_fixed_format():
     )
 
 
-# The renderers as they were before each distinct station row was formatted
-# once per call: every row of every slot through its own f-string.
+# Reference renderers: every row of every slot through its own f-string,
+# with no text kept from one row to the next.
 def reference_trace_lines(ring):
     lines = []
     for ev, stations in zip(ring.events, ring.records):
@@ -237,6 +237,38 @@ def test_renderers_match_the_per_row_reference():
         ring = Ring(sc).run()
         assert trace_lines(ring) == reference_trace_lines(ring), sc
         assert render_run_tables(ring) == reference_tables(ring), sc
+
+
+def _rejoin_scenarios(n):
+    """A rejoin after each 2^(n-4)-th single-fault chain at ``n`` that loses
+    a station: the first to leave rejoins at one of the 2n slots after it
+    left, the chain's index picking which, on an 8-round horizon."""
+    for i, sc in enumerate(list(kfault_scenarios(n, 1))[::2 ** (n - 4)]):
+        base = Ring(Scenario(n, 8, sc.faults), record=False).run()
+        left = next(((ev.slot, sid) for ev in base.events for sid, _ in ev.departed), None)
+        if left is not None:
+            slot, sid = left
+            yield Scenario(n, 8, sc.faults, (IntegrationSpec(sid, slot + 1 + i % (2 * n)),))
+
+
+def test_renderers_match_the_per_row_reference_at_every_ring_size():
+    # The golden files are all n=4.  Here: every chain of one fault at
+    # n=7 and 8, where a vector is wider than its 6-character column (the
+    # test above takes n=3..6); every tenth chain of two faults at n=5;
+    # every .scn fixture; and rejoins after single-fault chains at n=5..8,
+    # whose rows pass through listening and counting.
+    scenarios = [sc for n in (7, 8) for sc in kfault_scenarios(n, 1)]
+    scenarios += list(kfault_scenarios(5, 2))[::10]
+    scenarios += [parse_scenario(path.read_text()) for path in sorted(FIXTURES.glob("*.scn"))]
+    rejoins = [sc for n in range(5, 9) for sc in _rejoin_scenarios(n)]
+    assert (len(scenarios), len(rejoins)) == (448 + 1024 + 482 + 5, 208)
+    locations = set()
+    for sc in scenarios + rejoins:
+        ring = Ring(sc).run()
+        assert trace_lines(ring) == reference_trace_lines(ring), sc
+        assert render_run_tables(ring) == reference_tables(ring), sc
+        locations.update(loc for rec in ring.records for *_, loc in rec)
+    assert locations == {loc.value for loc in Location}
 
 
 def test_renderers_keep_nothing_from_a_ring_of_another_size():
