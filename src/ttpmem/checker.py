@@ -3,8 +3,9 @@ of concrete runs against it.
 
 ``explore`` builds the reachable abstract state space for a fixed ring size
 and voucher count (the slot-owner nondeterminism and the g input are both
-branched); properties are then scanned over the graph, with shortest
-violating paths reconstructed from the BFS tree:
+branched); ``check_property`` then judges one property, a row of
+``PROPERTIES``, over the graph, with a shortest violating path
+reconstructed from the BFS tree:
 
 * P1  at the end of the fault round the two classes never tie;
 * P2  with a voucher majority, no voucher dies during the fault round;
@@ -48,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from .abstraction import (
     G_INPUT,
@@ -185,19 +187,19 @@ class PropertyVerdict:
         return line
 
 
-def _scan(prop: str, g: StateGraph, where: Callable[[AbstractState], bool],
-          broken: Callable[[AbstractState], object]) -> PropertyVerdict:
-    """``prop`` fails at the first state, in index order, that ``where``
-    selects and ``broken`` finds at fault (it returns the detail, or a false
-    value), with that state's breadth-first path as the witness."""
-    for i, s in enumerate(g.states):
-        detail = where(s) and broken(s)
-        if detail:
-            return PropertyVerdict(prop, g.n, f"x={g.x}", False, g.path(i), detail)
-    return PropertyVerdict(prop, g.n, f"x={g.x}", True)
+class Property(NamedTuple):
+    """One row of ``PROPERTIES``: the x-values it is judged on (an
+    ``x_values`` constraint), the states it judges, the detail it reports at
+    a state at fault (a false value where the state is not), and whether it
+    also judges every state reachable from those."""
+
+    scope: str
+    judges: Callable[[StateGraph, AbstractState], bool]
+    fault: Callable[[StateGraph, AbstractState], object]
+    reach: bool = False
 
 
-def _fault_round_end(s: AbstractState) -> bool:
+def _fault_round_end(g: StateGraph, s: AbstractState) -> bool:
     return s.fault_seen and s.r == 0 and s.cp == s.n
 
 
@@ -205,73 +207,52 @@ def _decided_tie(g: StateGraph, s: AbstractState) -> bool:
     return s.fault_seen and s.d1 == g.x and s.d0 < g.x
 
 
-def check_P1(g: StateGraph) -> PropertyVerdict:
-    """End of the fault round: the class sizes differ (no standing tie)."""
-    return _scan("P1", g, _fault_round_end,
-                 lambda s: s.c1 == s.c0 and f"c1=c0={s.c1} at round end")
+# The six properties of the module docstring, in report order.
+PROPERTIES: Dict[str, Property] = {
+    "P1": Property("any", _fault_round_end,
+                   lambda g, s: s.c1 == s.c0 and f"c1=c0={s.c1} at round end"),
+    "P2": Property("majority", _fault_round_end,
+                   lambda g, s: s.c1 != g.x and f"c1={s.c1} != x={g.x} at round end"),
+    "P3": Property("tie", _decided_tie,
+                   lambda g, s: s.c1 != g.x and f"c1 dropped to {s.c1}", reach=True),
+    "P4": Property("tie", _decided_tie,
+                   lambda g, s: s.c1 + s.c0 - 2 * s.d1 > 0
+                   and f"rejecter gate margin {s.c1 + s.c0 - 2 * s.d1}"),
+    "P6": Property("any", lambda g, s: s.fault_seen and s.r >= 1 and s.cp == s.n,
+                   lambda g, s: s.c1 > 0 and s.c0 > 0 and f"c1={s.c1}, c0={s.c0} at boundary"),
+    "P7": Property("any", lambda g, s: s.fault_seen and s.r >= 2,
+                   lambda g, s: s.c1 > 0 and s.c0 > 0
+                   and f"c1={s.c1}, c0={s.c0} after two rounds"),
+}
 
 
-def check_P2(g: StateGraph) -> PropertyVerdict:
-    """Voucher majority: every voucher survives the fault round."""
-    return _scan("P2", g, _fault_round_end,
-                 lambda s: s.c1 != g.x and f"c1={s.c1} != x={g.x} at round end")
-
-
-def check_P3(g: StateGraph) -> PropertyVerdict:
-    """From any state where all x vouchers have sent this round and fewer
-    rejecters have, the voucher class never shrinks again."""
-    frontier = [i for i, s in enumerate(g.states) if _decided_tie(g, s)]
-    local_parent: Dict[int, Tuple[int, str]] = {}
-    seen = set(frontier)
+def check_property(prop: str, g: StateGraph) -> PropertyVerdict:
+    """Judge one row of ``PROPERTIES`` on one graph: the states it judges in
+    index order, then, for a row that reaches, breadth first what they
+    reach.  It fails at the first state at fault, with the state's
+    exploration path plus this search's own steps to it as the witness."""
+    row = PROPERTIES[prop]
+    frontier = [i for i, s in enumerate(g.states) if row.judges(g, s)]
+    # Each state met -> the state and step this search reached it by, if any.
+    parent: Dict[int, Optional[Tuple[int, str]]] = dict.fromkeys(frontier)
     while frontier:
         nxt: List[int] = []
         for i in frontier:
-            s = g.states[i]
-            if s.c1 != g.x:
-                names: List[str] = []
-                j = i
-                while j in local_parent:
-                    j, name = local_parent[j]
-                    names.append(name)
-                witness = g.path(j) + tuple(reversed(names))
-                return PropertyVerdict("P3", g.n, f"x={g.x}", False, witness,
-                                       f"c1 dropped to {s.c1}")
-            for name, k in g.edges[i]:
-                if k not in seen:
-                    seen.add(k)
-                    local_parent[k] = (i, name)
-                    nxt.append(k)
+            detail = row.fault(g, g.states[i])
+            if detail:
+                steps: List[str] = []
+                while parent[i] is not None:
+                    i, name = parent[i]
+                    steps.append(name)
+                return PropertyVerdict(prop, g.n, f"x={g.x}", False,
+                                       g.path(i) + tuple(reversed(steps)), detail)
+            if row.reach:
+                for name, k in g.edges[i]:
+                    if k not in parent:
+                        parent[k] = (i, name)
+                        nxt.append(k)
         frontier = nxt
-    return PropertyVerdict("P3", g.n, f"x={g.x}", True)
-
-
-def check_P4(g: StateGraph) -> PropertyVerdict:
-    """At those decision states a rejecter's fault-round gate cannot pass."""
-    return _scan("P4", g, lambda s: _decided_tie(g, s),
-                 lambda s: s.c1 + s.c0 - 2 * s.d1 > 0
-                 and f"rejecter gate margin {s.c1 + s.c0 - 2 * s.d1}")
-
-
-def check_P6(g: StateGraph) -> PropertyVerdict:
-    """At every later round boundary at least one class is extinct."""
-    return _scan("P6", g, lambda s: s.fault_seen and s.r >= 1 and s.cp == s.n,
-                 lambda s: s.c1 > 0 and s.c0 > 0 and f"c1={s.c1}, c0={s.c0} at boundary")
-
-
-def check_P7(g: StateGraph) -> PropertyVerdict:
-    """Two full rounds after the fault, exactly one class remains, forever."""
-    return _scan("P7", g, lambda s: s.fault_seen and s.r >= 2,
-                 lambda s: s.c1 > 0 and s.c0 > 0
-                 and f"c1={s.c1}, c0={s.c0} after two rounds")
-
-
-def _merge(prop: str, n: int, constraint: str,
-           verdicts: Sequence[PropertyVerdict]) -> PropertyVerdict:
-    for v in verdicts:
-        if not v.holds:
-            return replace(v, constraint=constraint)
-    detail = "" if verdicts else "no admissible x: vacuous"
-    return PropertyVerdict(prop, n, constraint, True, (), detail)
+    return PropertyVerdict(prop, g.n, f"x={g.x}", True)
 
 
 def x_values(n: int, constraint: str) -> List[int]:
@@ -293,25 +274,23 @@ def check_properties(
     literal_guard: bool = False,
     max_states: int = STATE_BUDGET,
 ) -> List[PropertyVerdict]:
-    """All six properties for one ring size.  P2 is checked on the majority
-    part of the x-range, P3/P4 on the tie part, P1/P6/P7 everywhere."""
+    """Every row of ``PROPERTIES`` for one ring size, each on the x-values
+    that both ``constraint`` and its own scope admit; a row fails with its
+    first failure in x order, and holds vacuously where it admits no x."""
     if max_states < 1:  # refused also where no x is admissible
         raise ValueError(f"the state budget must be at least 1, got {max_states}")
-    xs = x_values(n, constraint)
     graphs = {
         x: explore(n, x, weak_gate=weak_gate, strengthened=strengthened,
                    literal_guard=literal_guard, max_states=max_states)
-        for x in xs
+        for x in x_values(n, constraint)
     }
-    majority, tie = ([x for x in x_values(n, c) if x in graphs] for c in ("majority", "tie"))
-    return [
-        _merge("P1", n, constraint, [check_P1(graphs[x]) for x in xs]),
-        _merge("P2", n, constraint, [check_P2(graphs[x]) for x in majority]),
-        _merge("P3", n, constraint, [check_P3(graphs[x]) for x in tie]),
-        _merge("P4", n, constraint, [check_P4(graphs[x]) for x in tie]),
-        _merge("P6", n, constraint, [check_P6(graphs[x]) for x in xs]),
-        _merge("P7", n, constraint, [check_P7(graphs[x]) for x in xs]),
-    ]
+    verdicts = []
+    for prop, row in PROPERTIES.items():
+        judged = [check_property(prop, graphs[x]) for x in x_values(n, row.scope) if x in graphs]
+        failed = next((v for v in judged if not v.holds), None)
+        verdicts.append(replace(failed, constraint=constraint) if failed else PropertyVerdict(
+            prop, n, constraint, True, (), "" if judged else "no admissible x: vacuous"))
+    return verdicts
 
 
 # -- concrete sweeps -----------------------------------------------------------
@@ -480,7 +459,7 @@ def _sweep(n: int, k: int, max_runs: int, weak_gate: bool) -> SweepResult:
     when a check first fails on it.  On the fault-free ring every receiver
     is decisive, so a single fault's tail, which reads the whole history
     (the counting oracle, the abstraction's tally), is never shared."""
-    runs = degenerate = round1_splits = judged_tails = 0
+    runs = round1_splits = judged_tails = 0
     failed: Dict[str, Tuple[Tuple[str, ...], str]] = {}  # first (witness, detail)
     ring = _root(n, k, weak_gate)
     root = _Path(ring, CounterTree(n))
@@ -520,7 +499,6 @@ def _sweep(n: int, k: int, max_runs: int, weak_gate: bool) -> SweepResult:
         if runs >= max_runs:
             raise _over_budget(n, k, max_runs)
         runs += 1
-        degenerate += judged.degenerate  # vacuous clique, not success
         if not judged.converged and "NC" not in failed:
             failed["NC"] = (
                 witness(faults, f"classes at round-2 end: {judged.classes}"),
@@ -537,8 +515,6 @@ def _sweep(n: int, k: int, max_runs: int, weak_gate: bool) -> SweepResult:
             failed.setdefault("NC", ((f"n={n}",), "no scenario was still split after "
                                      "one round; two-round claim untestable"))
     scope += ")"
-    if degenerate:
-        scope += f", {degenerate} degenerate"
     return SweepResult(n=n, runs=runs, verdicts=tuple(
         PropertyVerdict(prop, n, scope, prop not in failed, *failed.get(prop, ((), "")))
         for prop in (("NC", "CA", "SIM") if k == 1 else ("NC", "CA"))

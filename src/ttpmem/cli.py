@@ -135,10 +135,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         lines.append(f"classes at horizon: {_fmt_classes(judged.classes)}")
     _warn(ring.warnings)
     lines.append(f"active: {','.join(f's{i}' for i in judged.active) or 'nobody'}")
-    if judged.degenerate:
-        lines.append("single clique: degenerate (vacuous - no stations left)")
-    else:
-        lines.append(f"single clique: {'yes' if judged.single_clique else 'NO'}")
+    lines.append(f"single clique: {'yes' if judged.single_clique else 'NO'}")
     if two_rounds:
         lines.append(f"converged within two rounds: {'yes' if judged.converged else 'NO'}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -564,11 +564,6 @@ class Convergence:
     active: Tuple[int, ...]
 
     @property
-    def degenerate(self) -> bool:
-        """Nobody left active: the clique is vacuous, not a success."""
-        return not self.active
-
-    @property
     def converged(self) -> bool:
         """A single clique and at most one class."""
         return self.single_clique and len(self.classes) <= 1
@@ -578,12 +573,12 @@ def convergence(ring: Ring) -> Convergence:
     """Judge the ring as it stands: its classes, who is still active, and
     whether the active stations form a single clique, i.e. hold identical
     vectors that acknowledge exactly the active set (the survivors fully
-    recognize each other and nobody else).  An empty active set is
-    vacuously a clique; reports must flag that case as degenerate rather
-    than call it success."""
+    recognize each other and nobody else).  A ring with no active station
+    is no clique, so it has not converged."""
     active = [st for st in ring.stations if st.location.is_active]
     mask = sum(1 << st.sid for st in active)
-    return Convergence(partition_classes(ring), all(st.member == mask for st in active),
+    return Convergence(partition_classes(ring),
+                       bool(active) and all(st.member == mask for st in active),
                        tuple(st.sid for st in active))
 
 

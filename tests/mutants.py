@@ -36,6 +36,7 @@ SELECTION = [
     "tests/test_cli.py", "tests/test_checker.py", "tests/test_acceptance.py",
     "tests/test_abstraction.py::test_the_fold_gives_the_per_slot_maps_image_and_inputs",
     "tests/test_abstraction.py::test_a_departure_the_events_leave_out_fails_the_population_check",
+    "tests/test_abstraction.py::test_map_is_undefined_beyond_its_scope",
     "-k", "not criterion_7",
 ]
 
@@ -191,6 +192,18 @@ MUTANTS = [
     ("ring.py", "if self.n * self.n * self.total_slots > HORIZON_BUDGET:",
      "if self.n * self.total_slots > HORIZON_BUDGET:",
      "budget: the horizon counted in station-slots, not vector bits"),
+    ("checker.py", '"P2": Property("majority"', '"P2": Property("any"',
+     "P2 judged on every x, not only on the voucher majorities"),
+    ("checker.py", "reach=True", "reach=False",
+     "P3 judged only at the decided-tie states, not on what they reach"),
+    ("checker.py", "s.r >= 1 and s.cp == s.n", "s.r >= 0 and s.cp == s.n",
+     "P6 judged from the fault round's own end"),
+    ("checker.py", "g.path(i) + tuple(reversed(steps))", "g.path(i)",
+     "a property's witness drops the search's own steps"),
+    ("ring.py", "bool(active) and all(", "all(",
+     "a ring with no active station is a vacuous clique, converged"),
+    ("abstraction.py", "elif st.location.is_receiving:", "elif False:",
+     "population check: an integrating station let through"),
 ]
 
 

@@ -231,6 +231,19 @@ def test_map_is_undefined_beyond_its_scope():
     except ValueError:
         pass
 
+    # s3 leaves in the fault round and listens from slot 8; at slot 9 no
+    # event has had it as owner yet, so only the station check refuses it.
+    listening = Scenario(
+        n=4, rounds=5,
+        faults=(FaultSpec(0, frozenset({2})),),
+        integrations=(IntegrationSpec(station=3, slot=8),),
+    )
+    ring = Ring(listening).run_until(9)
+    assert all(ev.owner_loc.is_active or not ev.owner_loc.is_receiving for ev in ring.events)
+    assert ring.station(3).location.is_receiving
+    with pytest.raises(ValueError, match="^abstraction is undefined while stations integrate$"):
+        abstraction_map(ring)
+
 
 # -- the per-slot map, kept as the fold's reference ---------------------------
 

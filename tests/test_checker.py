@@ -37,11 +37,8 @@ from ttpmem.abstraction import (
 from ttpmem.checker import (
     PropertyVerdict,
     StateGraph,
-    check_P1,
-    check_P2,
-    check_P3,
-    check_P4,
     check_properties,
+    check_property,
     cross_check,
     explore,
     kfault_scenarios,
@@ -145,15 +142,15 @@ def test_majority_keeps_every_voucher():
     ]
     assert boundary
     assert all(s.c1 == 3 for s in boundary)
-    assert check_P2(g).holds
+    assert check_property("P2", g).holds
 
 
 def test_tie_race_is_decided_but_the_winner_still_thins():
     for n, x in ((4, 2), (6, 3)):
         g = explore(n, x)
-        assert check_P1(g).holds
-        assert check_P4(g).holds
-        p3 = check_P3(g)
+        assert check_property("P1", g).holds
+        assert check_property("P4", g).holds
+        p3 = check_property("P3", g)
         assert not p3.holds
         assert p3.witness[0] == "fault"
         assert p3.witness[-1] == "r1_guess_exit_rollover"
@@ -231,7 +228,7 @@ def test_exploration_refuses_a_step_past_a_class_budget(monkeypatch):
 def test_p3_holds_where_no_tie_race_is_decided():
     g = StateGraph(4, 2)
     g.add(abstract_init(4))
-    assert check_P3(g) == PropertyVerdict("P3", 4, "x=2", True)
+    assert check_property("P3", g) == PropertyVerdict("P3", 4, "x=2", True)
 
 
 def test_exploration_refuses_an_empty_state_budget():

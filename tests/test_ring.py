@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ttpmem.checker import kfault_scenarios
-from ttpmem.protocol import Location, SoundnessError, initial_station, vector_str
+from ttpmem.protocol import Location, SoundnessError, initial_station, leave_active, vector_str
 from ttpmem.ring import (
     FaultSpec,
     IntegrationSpec,
@@ -468,6 +468,17 @@ def test_every_single_fault_departure_rejoins_and_the_ring_converges():
     assert ends == {"clique": 6150, "failed": 366}
     assert sorted(reentry.items()) == [(8, 76), (9, 80), (10, 331), (11, 322), (12, 1047),
                                        (13, 1048), (14, 1026), (15, 774), (16, 738), (17, 708)]
+
+
+def test_a_ring_whose_stations_have_all_left_has_not_converged():
+    # No admissible run empties the ring, so its stations are made to leave
+    # by hand: with nobody active there is no clique to converge to.
+    ring = Ring(Scenario(n=4, rounds=2)).run_until(3)
+    for st in ring.stations:
+        leave_active(st)
+    judged = convergence(ring)
+    assert (judged.classes, judged.active) == ({}, ())
+    assert not judged.single_clique and not judged.converged
 
 
 def test_integration_requires_failed_station():
